@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Check that two checkouts give bit-identical benchmark outputs.
+
+    python3 scripts/same_outputs.py PARENT CHANGE --seed S [--workload W ...]
+
+For every workload of ``npnbench/workloads.py`` (or those named), each
+checkout runs the workload's set-up and body once, in a fresh process
+started with the interpreter and environment of its ``BENCHMARK.json``
+command and with its own ``src`` and ``npnbench`` on the path. The outputs
+are then compared line by line: Monte Carlo cells field by field, every
+float written with ``float.hex``, and the ``npn estimate`` document as text
+with its work directory masked. Exits 1 on any difference, 0 when every
+workload matches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve()
+WORKLOADS = ("mc_marginals_n100_d25", "mc_sample_size_d8", "cli_estimate_n20k_d25")
+MASK = "<work>"
+
+
+def _hex(v) -> str:
+    return v.hex() if isinstance(v, float) else repr(v)
+
+
+def canonical(out, work: Path) -> list[str]:
+    """The body's output as lines that are equal only when the bits are."""
+    if isinstance(out, tuple):
+        code, text = out
+        return [f"exit {code}"] + text.replace(str(work), MASK).splitlines()
+    return [
+        f"{_hex(s.sweep_value)} {s.estimator.value} mse={_hex(s.mse)} stderr={_hex(s.stderr)} "
+        f"finite={_hex(s.finite_fraction)} trials={s.trials}"
+        for s in out
+    ]
+
+
+def child(workload: str, seed: int, work: Path) -> None:
+    """Run one workload in the checkout at the working directory."""
+    sys.path[:0] = ["src", "npnbench"]
+    import workloads
+
+    w = workloads.WORKLOADS[workload](seed, False, work)
+    w.prepare()
+    print(json.dumps(canonical(w.body(), work)))
+
+
+def run_side(checkout: Path, workload: str, seed: int) -> list[str]:
+    config = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
+        argv = config["command"][:-1] + [str(SCRIPT), "--child", workload,
+                                          "--seed", str(seed), "--work", work]
+        proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        sys.exit(f"error: {workload} in {checkout} exited with {proc.returncode}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkouts", nargs="*", type=Path, help="PARENT CHANGE")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--child", choices=WORKLOADS, help=argparse.SUPPRESS)
+    parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.child, args.seed, args.work)
+        return 0
+    if len(args.checkouts) != 2:
+        parser.error("give two checkouts: PARENT CHANGE")
+
+    differ = False
+    for workload in args.workload or WORKLOADS:
+        parent, change = (run_side(c, workload, args.seed) for c in args.checkouts)
+        diffs = [i for i in range(max(len(parent), len(change)))
+                 if parent[i:i + 1] != change[i:i + 1]]
+        print(f"{workload} seed {args.seed}: {len(parent)} lines, {len(diffs)} differ")
+        for i in diffs[:10]:
+            print(f"  line {i}:\n    parent {parent[i:i + 1]}\n    change {change[i:i + 1]}")
+        differ = differ or bool(diffs)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

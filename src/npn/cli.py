@@ -289,10 +289,17 @@ def cmd_estimate(cfg: RunConfig) -> int:
     estimates: list[dict] = []
     errors: list[dict] = []
     worst = EXIT_OK
+    entropy_z = cfg.z if cfg.z is not None else 1e-3
+    entropy_rho = None
     for kind in cfg.estimators:
         z = cfg.z if kind in (EstimatorKind.RHO, EstimatorKind.TAU) else None
         try:
-            est = estimate_mi(data, EstimatorConfig(kind, z=z, k=cfg.k, tie_policy=cfg.ties))
+            est_cfg = EstimatorConfig(kind, z=z, k=cfg.k, tie_policy=cfg.ties)
+            est = estimate_mi(data, est_cfg)
+            if (kind is EstimatorKind.RHO and est_cfg.tie_policy is TiePolicy.LITERAL
+                    and est_cfg.effective_z == entropy_z):
+                # The very estimate entropy_npn would compute.
+                entropy_rho = est
             entry = {
                 "estimator": kind.value,
                 "value": est.value,
@@ -314,7 +321,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     body: dict = {"estimates": estimates, "errors": errors}
     if cfg.entropy:
         try:
-            h = entropy_npn(data, z=cfg.z if cfg.z is not None else 1e-3, k=cfg.k)
+            h = entropy_npn(data, z=entropy_z, k=cfg.k, mi=entropy_rho)
             body["entropy"] = h
             rows.append({"estimator": "entropy", "value": h, "error": None})
         except NpnError as exc:

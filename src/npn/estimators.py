@@ -311,6 +311,25 @@ def _unit_ball_log_volume(d: int) -> float:
     return (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
 
 
+def _kl_entropy(n: int, d: int, k: int, eps: np.ndarray) -> float:
+    """Kozachenko-Leonenko formula from the k-th neighbor distances."""
+    if np.any(eps <= 0.0):
+        return math.inf
+    return (
+        digamma(n)
+        - digamma(k)
+        + _unit_ball_log_volume(d)
+        + (d / n) * float(np.sum(np.log(eps)))
+    )
+
+
+def _check_knn_shape(n: int, k: int) -> None:
+    if k < 1:
+        raise DomainError(f"neighbor count k must be >= 1, got {k}")
+    if n <= k:
+        raise InsufficientSamples(f"kNN entropy needs n > k, got n={n}, k={k}")
+
+
 def knn_entropy(p, k: int = DEFAULT_K) -> float:
     """Kozachenko-Leonenko differential entropy estimate.
 
@@ -330,41 +349,63 @@ def knn_entropy(p, k: int = DEFAULT_K) -> float:
     """
     m = ensure_data_matrix(p)
     n, d = m.shape
-    if k < 1:
-        raise DomainError(f"neighbor count k must be >= 1, got {k}")
-    if n <= k:
-        raise InsufficientSamples(f"kNN entropy needs n > k, got n={n}, k={k}")
+    _check_knn_shape(n, k)
     _, counts = np.unique(m, axis=0, return_counts=True)
     if int(counts.max()) >= max(k, 2):
         return math.inf
     dist, _ = cKDTree(m).query(m, k=k + 1)
-    eps = dist[:, k]
-    if np.any(eps <= 0.0):
-        return math.inf
-    return (
-        digamma(n)
-        - digamma(k)
-        + _unit_ball_log_volume(d)
-        + (d / n) * float(np.sum(np.log(eps)))
-    )
+    return _kl_entropy(n, d, k, dist[:, k])
+
+
+def _marginal_entropies(m: np.ndarray, k: int) -> list[float]:
+    """:func:`knn_entropy` of every column of ``m``, from one sort per column.
+
+    In one dimension a point and its k nearest others are k + 1
+    consecutive sorted values, so eps_i is the smallest reach from i over
+    the k + 1 windows of that length that contain it. These are the
+    differences the tree takes, squared and rooted as the tree does, so
+    every entropy is bit-identical to the tree's.
+    """
+    n, d = m.shape
+    _check_knn_shape(n, k)
+    order = np.argsort(m, axis=0)
+    s = np.take_along_axis(m, order, axis=0)
+    # A run of max(k, 2) equal sorted values is the tree path's duplicate rule.
+    dup = np.any(s[max(k, 2) - 1:] == s[: n - max(k, 2) + 1], axis=0)
+    pad = np.full((k, d), np.inf)
+    padded = np.concatenate((-pad, s, pad))
+    reach = np.full((n, d), np.inf)
+    # Overflow to inf is what the tree's distances do, silently, too.
+    with np.errstate(over="ignore"):
+        for j in range(k + 1):
+            # Window of sorted positions [p - j, p - j + k] around position p.
+            below = s - padded[k - j:k - j + n]
+            above = padded[2 * k - j:2 * k - j + n] - s
+            np.minimum(reach, np.maximum(below, above), out=reach)
+        reach = np.sqrt(reach * reach)
+    eps = np.empty((d, n))
+    eps[np.arange(d)[:, None], order.T] = reach.T
+    return [math.inf if dup[j] else _kl_entropy(n, 1, k, eps[j]) for j in range(d)]
 
 
 def mi_knn(x, k: int = DEFAULT_K) -> MiEstimate:
     """Nonparametric mutual information via the entropy decomposition.
 
-    Returns sum_j H(X_j) - H(X) with every entropy from
-    :func:`knn_entropy`; the estimate is flagged infinite as soon as any
-    component diverges.
+    Returns sum_j H(X_j) - H(X) with every entropy a Kozachenko-Leonenko
+    estimate: the marginals from one sort per column, bit-identical to
+    :func:`knn_entropy` on each column, and the joint from
+    :func:`knn_entropy`'s tree. The estimate is flagged infinite as soon as
+    any component diverges.
     """
     m = ensure_data_matrix(x)
-    parts = [knn_entropy(m[:, j].reshape(-1, 1), k) for j in range(m.shape[1])]
+    parts = _marginal_entropies(m, k)
     joint = knn_entropy(m, k)
     if math.isinf(joint) or any(math.isinf(h) for h in parts):
         return MiEstimate(value=math.inf, estimator=EstimatorKind.KNN)
     return MiEstimate(value=float(sum(parts) - joint), estimator=EstimatorKind.KNN)
 
 
-def entropy_npn(x, z: float = DEFAULT_Z, k: int = DEFAULT_K) -> float:
+def entropy_npn(x, z: float = DEFAULT_Z, k: int = DEFAULT_K, mi: MiEstimate | None = None) -> float:
     """Joint differential entropy under the Gaussian copula model.
 
     The copula model splits H(X) into marginal entropies minus the mutual
@@ -372,13 +413,16 @@ def entropy_npn(x, z: float = DEFAULT_Z, k: int = DEFAULT_K) -> float:
 
         H = sum_j H_knn(X_j) - I_rho(X)
 
-    with univariate Kozachenko-Leonenko entropies and the Spearman-based
-    mutual information at floor ``z``. Returns ``math.inf`` if a marginal
-    entropy diverges.
+    with univariate Kozachenko-Leonenko entropies, from the same one-sort
+    pass as :func:`mi_knn`, and the Spearman-based mutual information at
+    floor ``z``. ``mi``, when given, is that rho estimate already computed
+    at floor ``z`` with literal ties, and is used instead of computing it
+    again. Returns ``math.inf`` if a marginal entropy diverges.
     """
     m = ensure_data_matrix(x)
-    parts = [knn_entropy(m[:, j].reshape(-1, 1), k) for j in range(m.shape[1])]
+    parts = _marginal_entropies(m, k)
     if any(math.isinf(h) for h in parts):
         return math.inf
-    mi = estimate_mi(m, EstimatorConfig(EstimatorKind.RHO, z=z))
+    if mi is None:
+        mi = estimate_mi(m, EstimatorConfig(EstimatorKind.RHO, z=z))
     return float(sum(parts) - mi.value)

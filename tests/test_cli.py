@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from npn import estimators
 from npn.cli import load_csv, main, save_csv
 from npn.errors import EmptyFile, NonFiniteValue, ParseError
 from npn.simulation import sample_gaussian
@@ -197,6 +198,34 @@ class TestEstimateCommand:
             ["estimate", "--input", str(path), "--estimators", "rho", "--ties", "midrank"],
         )
         assert literal["estimates"][0]["value"] != midrank["estimates"][0]["value"]
+
+    @pytest.mark.parametrize(("ties", "spearman_calls"), [("literal", 1), ("midrank", 2)])
+    def test_entropy_reuses_a_matching_rho(self, corr_csv, capsys, monkeypatch, ties, spearman_calls):
+        # entropy_npn's rho is at literal ties; a midrank rho is computed again
+        calls = []
+        real = estimators.spearman_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "spearman_matrix", counted)
+        argv = ["estimate", "--input", str(corr_csv), "--entropy", "--ties", ties]
+        _, with_rho = run_json(capsys, argv + ["--estimators", "rho"])
+        assert len(calls) == spearman_calls
+        _, without = run_json(capsys, argv + ["--estimators", "gauss"])
+        assert with_rho["entropy"] == without["entropy"]
+
+    def test_failed_rho_keeps_entropy_error(self, corr_csv, capsys):
+        _, doc = run_json(
+            capsys,
+            ["estimate", "--input", str(corr_csv), "--estimators", "rho", "--entropy", "--z", "0"],
+        )
+        message = "rho/tau estimators require a positive z"
+        assert doc["errors"] == [
+            {"estimator": name, "error": "DomainError", "message": message}
+            for name in ("rho", "entropy")
+        ]
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "absent.csv")]) == 2

@@ -24,6 +24,7 @@ from npn.errors import (
 from npn.estimators import (
     EstimatorConfig,
     EstimatorKind,
+    _marginal_entropies,
     digamma,
     entropy_npn,
     estimate_mi,
@@ -403,6 +404,35 @@ class TestKnnEntropy:
         assert np.mean(vals) == pytest.approx(2 * HALF_LOG_2PIE, abs=0.05)
 
 
+class TestMarginalPass:
+    """The one-sort marginal pass equals knn_entropy on each column, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_tree_on_every_column(self, k):
+        rng = np.random.default_rng(30 + k)
+        for trial in range(40):
+            n = k + 1 if trial < 8 else int(rng.integers(k + 2, 300))
+            x = rng.standard_normal((n, 4))
+            x[:, 1] = np.round(x[:, 1], 1)
+            x[:, 2] = np.exp(3.0 * x[:, 2])
+            x[:, 3] = np.round(4.0 * x[:, 3]) / 3.0
+            want = [knn_entropy(x[:, j], k=k) for j in range(4)]
+            assert _marginal_entropies(x, k) == want
+
+    def test_mi_knn_is_the_tree_decomposition(self):
+        rng = np.random.default_rng(34)
+        x = sample_corr(rng, 0.5, 400)
+        x[:, 0] = np.exp(x[:, 0])
+        parts = sum(knn_entropy(x[:, j], k=2) for j in range(2))
+        assert mi_knn(x, k=2).value == float(parts - knn_entropy(x, k=2))
+
+    def test_rejects_bad_k_like_the_tree(self):
+        with pytest.raises(DomainError):
+            _marginal_entropies(np.zeros((5, 2)), 0)
+        with pytest.raises(InsufficientSamples):
+            _marginal_entropies(np.zeros((3, 2)), 3)
+
+
 class TestMiKnn:
     def test_independent_near_zero(self):
         rng = np.random.default_rng(19)
@@ -440,6 +470,12 @@ class TestEntropyNpn:
         rng = np.random.default_rng(23)
         x = sample_corr(rng, 0.6, 10_000)
         assert entropy_npn(x) == pytest.approx(2.6147335150951357, abs=0.1)
+
+    def test_given_rho_estimate_is_used_as_is(self):
+        rng = np.random.default_rng(25)
+        x = sample_corr(rng, 0.4, 500)
+        mi = estimate_mi(x, EstimatorConfig(EstimatorKind.RHO, z=1e-3))
+        assert entropy_npn(x, z=1e-3, k=2, mi=mi) == entropy_npn(x, z=1e-3, k=2)
 
     def test_atom_marginal_is_infinite(self):
         rng = np.random.default_rng(24)

@@ -7,6 +7,7 @@ against direct O(n^2) counting.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,27 @@ class TestKendall:
     def test_unknown_backend_rejected(self):
         with pytest.raises(DomainError):
             kendall_matrix(np.random.default_rng(0).standard_normal((10, 2)), backend="quadratic")
+
+    @pytest.mark.parametrize(("n_values", "d"), [((100,), 25), ((199, 200), 2), ((799, 800), 8)])
+    def test_backends_bit_identical_on_tied_data(self, n_values, d):
+        # auto takes mergesort from n = 100 D on: n on both sides of it
+        rng = np.random.default_rng(19)
+        for n in n_values:
+            x = np.round(rng.standard_normal((n, d)), 1)
+            naive = kendall_matrix(x, backend="naive")
+            assert np.array_equal(naive, kendall_matrix(x, backend="mergesort"))
+            assert np.array_equal(naive, kendall_matrix(x))
+
+    def test_naive_backend_memory_stays_bounded(self):
+        # one block of signs at a time, not D sign matrices of n x n
+        x = np.random.default_rng(20).standard_normal((1500, 8))
+        tracemalloc.start()
+        try:
+            kendall_matrix(x, backend="naive")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCountInversions:
