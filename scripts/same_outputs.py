@@ -9,14 +9,16 @@ started with the interpreter and environment of its ``BENCHMARK.json``
 command and with its own ``src`` and ``npnbench`` on the path. The outputs
 are then compared line by line: Monte Carlo cells field by field, every
 float written with ``float.hex``, and the ``npn estimate`` document as text
-with its work directory masked. Exits 1 on any difference, 0 when every
-workload matches.
+with its work directory masked. Each differing line is printed with the
+largest absolute and relative difference between the numbers of its two
+sides. Exits 1 on any difference, 0 when every workload matches.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,6 +27,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve()
 WORKLOADS = ("mc_marginals_n100_d25", "mc_sample_size_d8", "cli_estimate_n20k_d25")
 MASK = "<work>"
+NUMBER = re.compile(r"-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[+-]?\d+|-?\d+(?:\.\d*)?(?:e[+-]?\d+)?")
 
 
 def _hex(v) -> str:
@@ -41,6 +44,24 @@ def canonical(out, work: Path) -> list[str]:
         f"finite={_hex(s.finite_fraction)} trials={s.trials}"
         for s in out
     ]
+
+
+def numbers(line: str) -> list[float]:
+    """Every number in a line, hex-written floats included, in order."""
+    return [float.fromhex(t) if "0x" in t else float(t) for t in NUMBER.findall(line)]
+
+
+def largest_difference(parent: list[str], change: list[str]) -> str:
+    """Largest absolute and relative difference between two lines' numbers."""
+    a, b = numbers(" ".join(parent)), numbers(" ".join(change))
+    if len(a) != len(b):
+        return f"{len(a)} numbers against {len(b)}"
+    pairs = [(x, y) for x, y in zip(a, b) if x != y]
+    if not pairs:
+        return "numbers equal"
+    abs_diff = max(abs(x - y) for x, y in pairs)
+    rel_diff = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
+    return f"max abs diff {abs_diff:.3g}, max rel diff {rel_diff:.3g}"
 
 
 def child(workload: str, seed: int, work: Path) -> None:
@@ -85,8 +106,11 @@ def main(argv=None) -> int:
         diffs = [i for i in range(max(len(parent), len(change)))
                  if parent[i:i + 1] != change[i:i + 1]]
         print(f"{workload} seed {args.seed}: {len(parent)} lines, {len(diffs)} differ")
-        for i in diffs[:10]:
-            print(f"  line {i}:\n    parent {parent[i:i + 1]}\n    change {change[i:i + 1]}")
+        for n, i in enumerate(diffs):
+            old, new = parent[i:i + 1], change[i:i + 1]
+            print(f"  line {i}: {largest_difference(old, new)}")
+            if n < 10:
+                print(f"    parent {old}\n    change {new}")
         differ = differ or bool(diffs)
     return 1 if differ else 0
 

@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     SingularScatter,
 )
-from .estimators import EstimatorConfig, EstimatorKind, entropy_npn, estimate_mi
+from .estimators import DEFAULT_Z, EstimatorConfig, EstimatorKind, entropy_npn, estimate_mi
 from .matrix_core import bandable_eigen_bounds
 from .rank_stats import TiePolicy, ensure_data_matrix
 from .simulation import (
@@ -66,6 +66,19 @@ _NUMERIC_ERRORS = (
     SingularScatter,
     InsufficientSamples,
     DegenerateDraw,
+)
+
+
+class _UsageError(Exception):
+    pass
+
+
+# Exit code and stderr prefix of each error group; the first group that
+# matches wins, and any other library error is a numeric failure.
+_ERROR_GROUPS = (
+    (_DATA_ERRORS, EXIT_DATA, "data error"),
+    (_NUMERIC_ERRORS, EXIT_NUMERIC, "numeric error"),
+    ((_UsageError, DomainError), EXIT_USAGE, "error"),
 )
 
 _ESTIMATE_COLUMNS = ("estimator", "value", "lambda_min", "clamped", "diag_second_moment", "error")
@@ -272,14 +285,12 @@ def _emit(text: str, out: str | None) -> None:
 # subcommands
 
 
-def _classify(exc: Exception) -> int:
-    if isinstance(exc, _DATA_ERRORS):
-        return EXIT_DATA
-    if isinstance(exc, _NUMERIC_ERRORS):
-        return EXIT_NUMERIC
-    if isinstance(exc, DomainError):
-        return EXIT_USAGE
-    return EXIT_NUMERIC
+def _classify(exc: Exception) -> tuple[int, str]:
+    """Exit code and stderr prefix for an error that ends a command."""
+    for group, code, prefix in _ERROR_GROUPS:
+        if isinstance(exc, group):
+            return code, prefix
+    return EXIT_NUMERIC, "error"
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
@@ -289,15 +300,20 @@ def cmd_estimate(cfg: RunConfig) -> int:
     estimates: list[dict] = []
     errors: list[dict] = []
     worst = EXIT_OK
-    entropy_z = cfg.z if cfg.z is not None else 1e-3
     entropy_rho = None
+
+    def record_error(name: str, exc: NpnError) -> int:
+        errors.append({"estimator": name, "error": type(exc).__name__, "message": str(exc)})
+        rows.append({"estimator": name, "error": type(exc).__name__})
+        return _classify(exc)[0]
+
     for kind in cfg.estimators:
         z = cfg.z if kind in (EstimatorKind.RHO, EstimatorKind.TAU) else None
         try:
             est_cfg = EstimatorConfig(kind, z=z, k=cfg.k, tie_policy=cfg.ties)
             est = estimate_mi(data, est_cfg)
             if (kind is EstimatorKind.RHO and est_cfg.tie_policy is TiePolicy.LITERAL
-                    and est_cfg.effective_z == entropy_z):
+                    and est_cfg.effective_z == cfg.z):
                 # The very estimate entropy_npn would compute.
                 entropy_rho = est
             entry = {
@@ -310,25 +326,15 @@ def cmd_estimate(cfg: RunConfig) -> int:
             estimates.append(entry)
             rows.append(dict(entry, error=None))
         except NpnError as exc:
-            record = {
-                "estimator": kind.value,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-            errors.append(record)
-            rows.append({"estimator": kind.value, "error": type(exc).__name__})
-            worst = max(worst, _classify(exc))
+            worst = max(worst, record_error(kind.value, exc))
     body: dict = {"estimates": estimates, "errors": errors}
     if cfg.entropy:
         try:
-            h = entropy_npn(data, z=entropy_z, k=cfg.k, mi=entropy_rho)
+            h = entropy_npn(data, z=cfg.z, k=cfg.k, mi=entropy_rho)
             body["entropy"] = h
             rows.append({"estimator": "entropy", "value": h, "error": None})
         except NpnError as exc:
-            record = {"estimator": "entropy", "error": type(exc).__name__, "message": str(exc)}
-            errors.append(record)
-            rows.append({"estimator": "entropy", "error": type(exc).__name__})
-            worst = max(worst, _classify(exc))
+            worst = max(worst, record_error("entropy", exc))
     if cfg.fmt == "csv":
         _emit(_render_csv(cfg, _ESTIMATE_COLUMNS, rows), cfg.out)
     else:
@@ -427,10 +433,6 @@ def cmd_bandable(cfg: RunConfig) -> int:
 # argument parsing
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -478,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="rho",
         help="comma list from gaussian,gauss,rho,tau,knn (default rho)",
     )
-    est.add_argument("--z", type=float, default=1e-3,
+    est.add_argument("--z", type=float, default=DEFAULT_Z,
                      help="eigenvalue floor for rho/tau (default 1e-3; gauss is never floored)")
     est.add_argument("--k", type=int, default=2, help="kNN neighbor count (default 2)")
     est.add_argument("--ties", choices=["literal", "midrank"], default="literal",
@@ -502,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="exp", help="marginal transform for experiment 2")
     sim.add_argument("--estimators", default="gaussian,gauss,rho,tau,knn",
                      help="comma list from gaussian,gauss,rho,tau,knn")
-    sim.add_argument("--z", type=float, default=1e-3)
+    sim.add_argument("--z", type=float, default=DEFAULT_Z)
     sim.add_argument("--k", type=int, default=None,
                      help="kNN neighbor count (default 2; 20 for experiment 3)")
     sim.add_argument("--ties", choices=["literal", "midrank"], default="literal")
@@ -575,21 +577,10 @@ def main(argv=None) -> int:
         if cfg.command == "simulate":
             return cmd_simulate(cfg)
         return cmd_bandable(cfg)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except _DATA_ERRORS as exc:
-        sys.stderr.write(f"data error: {exc}\n")
-        return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
-        sys.stderr.write(f"numeric error: {exc}\n")
-        return EXIT_NUMERIC
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except NpnError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
+    except (_UsageError, NpnError, OSError) as exc:
+        code, prefix = _classify(exc)
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

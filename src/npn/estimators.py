@@ -18,9 +18,9 @@ regularized log-determinant. Five estimators are provided:
 * ``knn``       - Kozachenko-Leonenko k-nearest-neighbor entropies
   combined as sum_j H(X_j) - H(X); fully nonparametric baseline.
 
-The rank-based estimators pass their latent-correlation estimate through
-the eigenvalue-floor projection of :func:`npn.matrix_core.project_to_cone`
-before the log-determinant, controlling the variance blowup near
+The rank-based estimators take the log-determinant of their
+latent-correlation estimate in :func:`mi_from_latent`, which raises every
+eigenvalue below the floor z to z, controlling the variance blowup near
 singularity at the price of a bounded range.
 """
 
@@ -170,11 +170,8 @@ def mi_from_latent(shat, z: float) -> MiEstimate:
     eig = sym_eigen(mat)
     w = eig.eigenvalues
     lam_min = float(w[-1])
-    if z == 0.0:
-        if lam_min <= 0.0:
-            return MiEstimate(value=math.inf, lambda_min=lam_min, clamped=0)
-        logdet = float(np.sum(np.log(w)))
-        return MiEstimate(value=-0.5 * logdet, lambda_min=lam_min, clamped=0)
+    if z == 0.0 and lam_min <= 0.0:
+        return MiEstimate(value=math.inf, lambda_min=lam_min, clamped=0)
     clamped = int(np.sum(w < z))
     logdet = float(np.sum(np.log(np.maximum(w, z))))
     return MiEstimate(value=-0.5 * logdet, lambda_min=lam_min, clamped=clamped)

@@ -187,11 +187,10 @@ def gaussianize(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     column the sorted output is the fixed symmetric grid
     {probit(i / (n + 1)) : i = 1..n}, so the column mean is zero.
     """
-    m = ensure_data_matrix(x)
-    n = m.shape[0]
+    ranks = compute_ranks(x, policy)
+    n = ranks.shape[0]
     if n < 2:
         raise DomainError("gaussianization needs at least 2 samples")
-    ranks = compute_ranks(m, policy)
     return probit(np.asarray(ranks, dtype=np.float64) / (n + 1.0))
 
 
@@ -280,26 +279,11 @@ def kendall_matrix(x, backend: str = "auto") -> np.ndarray:
     return out
 
 
-def _tied_pair_count(sorted_v: np.ndarray) -> int:
-    """Number of unordered pairs with equal value; input must be sorted."""
-    if sorted_v.size < 2:
-        return 0
-    breaks = np.flatnonzero(sorted_v[1:] != sorted_v[:-1])
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [sorted_v.size]))
-    runs = (ends - starts).astype(np.int64)
-    return int(np.sum(runs * (runs - 1) // 2))
-
-
-def _joint_tied_pair_count(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Pairs tied in both coordinates; inputs lexicographically sorted."""
-    if xs.size < 2:
-        return 0
-    same = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
-    breaks = np.flatnonzero(~same)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [xs.size]))
-    runs = (ends - starts).astype(np.int64)
+def _tied_pairs(*keys: np.ndarray) -> int:
+    """Number of unordered pairs equal in every key; keys sorted together."""
+    same = np.logical_and.reduce([k[1:] == k[:-1] for k in keys])
+    breaks = np.flatnonzero(~same) + 1
+    runs = np.diff(np.concatenate(([0], breaks, [keys[0].size])))
     return int(np.sum(runs * (runs - 1) // 2))
 
 
@@ -339,9 +323,9 @@ def _kendall_pair_mergesort(x: np.ndarray, y: np.ndarray) -> float:
     xs = x[order]
     ys = y[order]
     n0 = n * (n - 1) // 2
-    ties_x = _tied_pair_count(xs)
-    ties_y = _tied_pair_count(np.sort(y))
-    ties_xy = _joint_tied_pair_count(xs, ys)
+    ties_x = _tied_pairs(xs)
+    ties_y = _tied_pairs(np.sort(y))
+    ties_xy = _tied_pairs(xs, ys)
     discordant = count_inversions(ys)
     concordant_minus_discordant = n0 - ties_x - ties_y + ties_xy - 2 * discordant
     return concordant_minus_discordant / n0

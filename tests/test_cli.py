@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from npn import estimators
+from npn import cli, estimators
 from npn.cli import load_csv, main, save_csv
-from npn.errors import EmptyFile, NonFiniteValue, ParseError
+from npn.errors import EmptyFile, NonFiniteValue, NpnError, ParseError, SingularScatter
 from npn.simulation import sample_gaussian
 
 MI_AT_06 = 0.22314355131420976
@@ -415,3 +415,31 @@ class TestBandableCommand:
     @pytest.mark.parametrize("c", ["0.0", "1.0", "1.2", "-0.1"])
     def test_c_outside_open_interval_is_usage_error(self, c):
         assert main(["bandable", "--c", c, "--d", "5"]) == 1
+
+
+class TestMainErrors:
+    SIMULATE = ["simulate", "--experiment", "1", "--trials", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, raised, prefix, code",
+        [
+            (["estimate"], None, "error: the following arguments are required", 1),
+            (["estimate", "--input", "{bad}"], None, "data error: row 2, column 2:", 2),
+            (["estimate", "--input", "{absent}"], None, "data error: [Errno 2]", 2),
+            (SIMULATE, SingularScatter("collinear"), "numeric error: collinear", 3),
+            (["bandable", "--c", "1.5", "--d", "4"], None, "error: bandable decay c", 1),
+            (SIMULATE, NpnError("bare"), "error: bare", 3),
+        ],
+        ids=["usage", "parse", "missing-file", "numeric", "domain", "bare-npn-error"],
+    )
+    def test_stderr_prefix_and_exit_code(self, tmp_path, capsys, monkeypatch, argv, raised,
+                                         prefix, code):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3,x\n")
+        argv = [a.format(bad=bad, absent=tmp_path / "absent.csv") for a in argv]
+        if raised is not None:
+            def fail(spec):
+                raise raised
+            monkeypatch.setattr(cli, "run_experiment", fail)
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(prefix)
