@@ -239,6 +239,7 @@ def _config_echo(cfg: RunConfig) -> dict:
             "transform": cfg.transform.value,
             "z": cfg.z,
             "k": cfg.k,
+            "ties": cfg.ties.value,
             "seed": cfg.seed,
         }
     else:
@@ -286,7 +287,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _classify(exc: Exception) -> tuple[int, str]:
-    """Exit code and stderr prefix for an error that ends a command."""
+    """Exit code and stderr prefix of an error."""
     for group, code, prefix in _ERROR_GROUPS:
         if isinstance(exc, group):
             return code, prefix

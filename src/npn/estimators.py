@@ -31,6 +31,7 @@ import enum
 import math
 
 import numpy as np
+from scipy import special
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -264,11 +265,7 @@ def estimate_mi(x, cfg: EstimatorConfig) -> MiEstimate:
 
 
 def digamma(x: float) -> float:
-    """Digamma function for positive real arguments.
-
-    Uses the recurrence psi(x+1) = psi(x) + 1/x to push the argument above
-    6, then the asymptotic series through the x**-12 term; absolute error
-    is below 1e-11 on the positive axis.
+    """Digamma function for positive real arguments, SciPy's ``digamma``.
 
     Raises
     ------
@@ -277,30 +274,7 @@ def digamma(x: float) -> float:
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = (
-        math.log(x)
-        - 0.5 * inv
-        - inv2 * (
-            1.0 / 12.0
-            - inv2 * (
-                1.0 / 120.0
-                - inv2 * (
-                    1.0 / 252.0
-                    - inv2 * (
-                        1.0 / 240.0
-                        - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0))
-                    )
-                )
-            )
-        )
-    )
-    return acc + series
+    return float(special.digamma(x))
 
 
 def _unit_ball_log_volume(d: int) -> float:

@@ -368,6 +368,18 @@ class TestSimulateCommand:
         assert doc["summaries"][0]["estimator"] == "rho"
         assert doc["summaries"][0]["finite_fraction"] == 1.0
 
+    def test_config_line_names_the_tie_policy(self, tmp_path):
+        # experiment 3's +-5 atoms make the tie policy change gauss and rho
+        argv = ["simulate", "--experiment", "3", "--trials", "1", "--n", "40", "--d", "3",
+                "--beta-grid", "0.2", "--estimators", "rho"]
+        lines = {}
+        for ties in ("literal", "midrank"):
+            target = tmp_path / f"{ties}.csv"
+            assert main(argv + ["--ties", ties, "--out", str(target)]) == 0
+            lines[ties] = target.read_text().splitlines()[2]
+        assert "ties=literal" in lines["literal"]
+        assert "ties=midrank" in lines["midrank"]
+
     def test_bad_experiment_number_is_usage_error(self):
         assert main(["simulate", "--experiment", "9", "--trials", "1"]) == 1
 

@@ -348,6 +348,14 @@ class TestDigamma:
             want = float(mpmath.digamma(mpmath.mpf(float(x))))
             assert digamma(float(x)) == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("x", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    def test_small_integers_within_two_ulp(self, x):
+        # every kNN entropy takes digamma(k), and k = 2 by default
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.digamma(x))
+        assert abs(digamma(x) - want) <= 2 * math.ulp(want)
+
     @given(st.floats(0.01, 60.0))
     @settings(max_examples=100, deadline=None)
     def test_recurrence(self, x):
