@@ -313,6 +313,13 @@ def knn_entropy(p, k: int = DEFAULT_K) -> float:
     two coincide): repeated values put atoms in the data, the local
     distances degenerate, and the estimate diverges.
 
+    A single column goes through the one-sort pass of
+    :func:`_marginal_entropies`, whose distances are plain absolute
+    differences. For d >= 2 the distances come from a KD-tree, which
+    squares coordinate differences: where those squares underflow (below
+    about 1e-154) or overflow (above about 1e154) the estimate is inexact,
+    or ``math.inf``.
+
     Raises
     ------
     InsufficientSamples
@@ -320,6 +327,8 @@ def knn_entropy(p, k: int = DEFAULT_K) -> float:
     """
     m = ensure_data_matrix(p)
     n, d = m.shape
+    if d == 1:
+        return _marginal_entropies(m, k)[0]
     _check_knn_shape(n, k)
     _, counts = np.unique(m, axis=0, return_counts=True)
     if int(counts.max()) >= max(k, 2):
@@ -333,9 +342,10 @@ def _marginal_entropies(m: np.ndarray, k: int) -> list[float]:
 
     In one dimension a point and its k nearest others are k + 1
     consecutive sorted values, so eps_i is the smallest reach from i over
-    the k + 1 windows of that length that contain it. These are the
-    differences the tree takes, squared and rooted as the tree does, so
-    every entropy is bit-identical to the tree's.
+    the k + 1 windows of that length that contain it. The reach is an
+    absolute difference. A KD-tree's distance sqrt(d * d) is the same
+    float wherever d * d neither underflows nor overflows, and the reach
+    stays exact at scales where it would.
     """
     n, d = m.shape
     _check_knn_shape(n, k)
@@ -346,14 +356,13 @@ def _marginal_entropies(m: np.ndarray, k: int) -> list[float]:
     pad = np.full((k, d), np.inf)
     padded = np.concatenate((-pad, s, pad))
     reach = np.full((n, d), np.inf)
-    # Overflow to inf is what the tree's distances do, silently, too.
+    # A difference past the float range is inf, as a tree's distance is.
     with np.errstate(over="ignore"):
         for j in range(k + 1):
             # Window of sorted positions [p - j, p - j + k] around position p.
             below = s - padded[k - j:k - j + n]
             above = padded[2 * k - j:2 * k - j + n] - s
             np.minimum(reach, np.maximum(below, above), out=reach)
-        reach = np.sqrt(reach * reach)
     eps = np.empty((d, n))
     eps[np.arange(d)[:, None], order.T] = reach.T
     return [math.inf if dup[j] else _kl_entropy(n, 1, k, eps[j]) for j in range(d)]

@@ -13,7 +13,10 @@ point: ranks only see order. The module provides
   Kendall's tau of a bivariate Gaussian back to its Pearson correlation.
 
 Kendall's tau uses the tau-a normalization: the pair-sign sum is divided by
-C(n, 2) and tied pairs contribute zero through sign(0) = 0.
+C(n, 2) and tied pairs contribute zero through sign(0) = 0. The sum is an
+exact integer on both backends: a blocked float32 GEMM of pair signs for
+small n, and for large n Knight's merge construction on integer rank keys,
+with the column pairs batched as the rows of one array.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = [
 # integer below which every float32 partial sum of its GEMM is exact.
 _SIGN_BLOCK = 1 << 14
 _FLOAT32_EXACT = 1 << 24
+# Key entries (column pairs x n) per chunk of the mergesort Kendall backend.
+_MERGE_BLOCK = 1 << 13
 
 
 class TiePolicy(enum.Enum):
@@ -179,27 +184,30 @@ def kendall_matrix(x, backend: str = "auto") -> np.ndarray:
     (X[a] > X[b]) - (X[a] < X[b]) against every later row b, then adds
     their Gram matrix S^T S to a float64 total. Every sum is an integer
     below 2^24, so the float32 GEMM is exact, and a block holds about 2^14
-    signs whatever n is. ``mergesort`` counts discordant pairs in
-    O(n log n) via Knight's inversion-counting construction.
-    ``auto`` takes mergesort from n >= 100 D on, near where the merge
-    path's O(D^2 n log n) overtakes the GEMM's O(n^2 D^2) on one core
-    (measured crossovers: n of about 100 at D = 2, 300 at D = 4, 750 at
-    D = 8 and 2,000 at D = 16).
+    signs whatever n is. ``mergesort`` ranks the columns once and counts
+    each pair's discordant pairs in O(n log^2 n) with Knight's
+    construction. Column pairs are the rows of an integer array, about
+    2^13 entries at a time: one row sort orders the samples by column j,
+    ties broken by column k, and the inversions of column k in that order
+    come from a bottom-up merge whose every level is one more row sort.
+    ``auto`` takes mergesort from n >= 64 + 4 D on, near the crossovers
+    measured on one core: n of about 65 at D = 2 and 4, 85 at D = 8, 130
+    at D = 16 and 170 at D = 25.
     """
     m = ensure_data_matrix(x)
     n, d = m.shape
     if n < 2:
         raise DomainError("Kendall correlation needs at least 2 samples")
     if backend == "auto":
-        backend = "mergesort" if n >= 100 * d else "naive"
+        backend = "mergesort" if n >= 64 + 4 * d else "naive"
     if backend not in ("naive", "mergesort"):
         raise DomainError(f"unknown Kendall backend {backend!r}")
 
+    total = np.zeros((d, d))
     if backend == "naive":
         if n > _FLOAT32_EXACT:
             raise DomainError(f"naive Kendall backend is exact for n <= 2^24, got n={n}")
         rows = max(1, _SIGN_BLOCK // (n * d))
-        total = np.zeros((d, d))
         for a in range(0, n, rows):
             lo, hi = m[a:a + rows, None, :], m[None, a:, :]
             signs = np.subtract(lo > hi, lo < hi, dtype=np.float32)
@@ -208,67 +216,110 @@ def kendall_matrix(x, backend: str = "auto") -> np.ndarray:
             signs[:, :r] *= np.triu(np.ones((r, r), np.float32), 1)[:, :, None]
             signs = signs.reshape(-1, d)
             total += signs.T @ signs
-        out = total / (n * (n - 1) // 2)
-        np.fill_diagonal(out, 1.0)
     else:
-        out = np.eye(d)
-        for j in range(d):
-            for k in range(j + 1, d):
-                t = _kendall_pair_mergesort(m[:, j], m[:, k])
-                out[j, k] = out[k, j] = t
+        j, k = np.triu_indices(d, 1)
+        total[j, k] = total[k, j] = _pair_sign_sums(m, j, k)
+    out = total / (n * (n - 1) // 2)
+    np.fill_diagonal(out, 1.0)
     return out
 
 
-def _tied_pairs(*keys: np.ndarray) -> int:
-    """Number of unordered pairs equal in every key; keys sorted together."""
-    same = np.logical_and.reduce([k[1:] == k[:-1] for k in keys])
-    breaks = np.flatnonzero(~same) + 1
-    runs = np.diff(np.concatenate(([0], breaks, [keys[0].size])))
-    return int(np.sum(runs * (runs - 1) // 2))
+def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Pair-sign sums of the column pairs (j, k) of a data matrix.
+
+    Knight's construction: with the samples ordered by column j, ties
+    broken by column k, the discordant pairs are the strict inversions of
+    column k, and the sum is C(n, 2) - T_j - T_k + T_jk - 2 * discordant,
+    where T counts the pairs tied in a column and T_jk those tied in both.
+    The pairs are the rows of one integer array, a chunk of about
+    ``_MERGE_BLOCK`` entries at a time. The integers are exact.
+    """
+    n = m.shape[0]
+    keys, vb = _rank_keys(m)
+    ties = np.array([np.sum(c * (c - 1) // 2) for c in map(np.bincount, keys)])
+    rows = max(1, _MERGE_BLOCK // n)
+    sums = np.empty(j.size, np.int64)
+    for lo in range(0, j.size, rows):
+        a, b = j[lo:lo + rows], k[lo:lo + rows]
+        key = keys[a] << vb
+        key |= keys[b]
+        key.sort(axis=1)
+        joint = _tied_pairs(key) if np.any((ties[a] > 0) & (ties[b] > 0)) else 0
+        key &= (1 << vb) - 1
+        sums[lo:lo + rows] = joint - 2 * _row_inversions(key, vb)
+    return n * (n - 1) // 2 - ties[j] - ties[k] + sums
+
+
+def _rank_keys(x) -> tuple[np.ndarray, int]:
+    """Literal ranks minus one, one row per column, and their bit width vb.
+
+    The keys of the composite sort and of the merge levels fit in
+    2 vb + 1 bits, so they are int32 up to n = 2^15 and int64 beyond.
+    """
+    ranks = compute_ranks(x)
+    n, d = ranks.shape
+    vb = (n - 1).bit_length()
+    keys = np.empty((d, n), np.int32 if 2 * vb + 1 < 32 else np.int64)
+    np.subtract(ranks.T, 1, out=keys, casting="same_kind")
+    return keys, vb
+
+
+def _tied_pairs(rows: np.ndarray) -> np.ndarray:
+    """Number of pairs of equal entries in each row of a row-sorted array."""
+    n = rows.shape[1]
+    idx = np.arange(n)
+    # Each entry is tied with the entries between its run's start and itself.
+    start = np.zeros(rows.shape, np.intp)
+    start[:, 1:] = np.where(rows[:, 1:] != rows[:, :-1], idx[1:], 0)
+    np.maximum.accumulate(start, axis=1, out=start)
+    return np.sum(idx - start, axis=1)
+
+
+def _row_inversions(v: np.ndarray, vb: int) -> np.ndarray:
+    """Strict inversions (a < b with v[a] > v[b]) in each row of ``v``.
+
+    ``v`` holds integers in [0, 2^vb) and is overwritten. The merge runs
+    bottom up. At level l the key of slot p is block | value | half: the
+    block is p with its low l + 1 bits cleared, and the half is bit l of
+    p. One in-place row sort merges the two sorted halves of every block,
+    a left-half value ahead of an equal right-half one. Each right-half
+    value then lands ahead of its old slot by the number of strictly
+    larger left-half values, so the level's inversions are the right-half
+    slot sum before the sort minus the sum after it. Moving bit l + 1 of
+    the block down to the half bit gives the next level's keys.
+    """
+    n = v.shape[1]
+    pos = np.arange(n, dtype=v.dtype)
+    key = v
+    key <<= 1
+    key |= ((pos & ~1) << (vb + 1)) | (pos & 1)
+    # Per slot: how often it held a right-half value before a sort, less after.
+    moved = (pos & 1) + np.zeros_like(key)
+    levels = (n - 1).bit_length()
+    for level in range(levels):
+        key.sort(axis=1)
+        moved -= key & 1
+        if level + 1 < levels:
+            bit = vb + 2 + level
+            half = key >> bit
+            half &= 1
+            key &= ~((1 << bit) | 1)
+            key |= half
+            moved += half
+    return moved @ np.arange(n, dtype=np.int64)
 
 
 def count_inversions(values: np.ndarray) -> int:
-    """Strict inversions (i < j with v[i] > v[j]) by bottom-up merging.
+    """Strict inversions (i < j with v[i] > v[j]) of a finite 1-d array.
 
-    The array is padded with +inf to a power of two; each level merges
-    adjacent sorted blocks with a stable argsort, and for every element
-    coming from a right block the number of strictly larger left-block
-    elements still ahead of it is accumulated. Stability makes equal values
-    contribute nothing, which is exactly the strict-inversion count.
+    The one-row case of the ``mergesort`` Kendall backend: the values are
+    ranked, then merged bottom up by :func:`_row_inversions`.
     """
-    v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    if n < 2:
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    if v.size < 2:
         return 0
-    size = 1 << (n - 1).bit_length()
-    buf = np.full(size, np.inf)
-    buf[:n] = v
-    total = 0
-    width = 1
-    while width < size:
-        blocks = buf.reshape(-1, 2 * width)
-        order = np.argsort(blocks, axis=1, kind="stable")
-        from_left = order < width
-        seen_left = np.cumsum(from_left, axis=1)
-        total += int(np.sum(np.where(from_left, 0, width - seen_left)))
-        buf = np.take_along_axis(blocks, order, axis=1).reshape(-1)
-        width *= 2
-    return total
-
-
-def _kendall_pair_mergesort(x: np.ndarray, y: np.ndarray) -> float:
-    """Tau-a for one column pair via Knight's O(n log n) construction."""
-    n = x.size
-    order = np.lexsort((y, x))
-    xs = x[order]
-    ys = y[order]
-    n0 = n * (n - 1) // 2
-    ties_x = _tied_pairs(xs)
-    ties_y = _tied_pairs(np.sort(y))
-    ties_xy = _tied_pairs(xs, ys)
-    discordant = count_inversions(ys)
-    concordant_minus_discordant = n0 - ties_x - ties_y + ties_xy - 2 * discordant
-    return concordant_minus_discordant / n0
+    keys, vb = _rank_keys(v)
+    return int(_row_inversions(keys, vb)[0])
 
 
 def latent_from_rank_corr(m, kind: str) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from npn.errors import (
     DomainError,
@@ -24,6 +25,7 @@ from npn.errors import (
 from npn.estimators import (
     EstimatorConfig,
     EstimatorKind,
+    _kl_entropy,
     _marginal_entropies,
     digamma,
     entropy_npn,
@@ -402,6 +404,14 @@ class TestKnnEntropy:
             got = knn_entropy(a * x, k=2) - knn_entropy(x, k=2)
             assert got == pytest.approx(math.log(a), abs=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+    def test_one_column_follows_the_scale_law_at_extreme_scales(self, scale):
+        # squared differences would underflow or overflow at these scales
+        x = np.arange(10.0)
+        want = knn_entropy(x, k=2) + math.log(scale)
+        assert knn_entropy(scale * x, k=2) == pytest.approx(want, rel=0, abs=1e-9)
+        assert _marginal_entropies((scale * x)[:, None], 2) == [knn_entropy(scale * x, k=2)]
+
     def test_two_dimensional_gaussian(self):
         rng = np.random.default_rng(18)
         chol = np.linalg.cholesky(corr2(0.0))
@@ -426,6 +436,25 @@ class TestMarginalPass:
             x[:, 3] = np.round(4.0 * x[:, 3]) / 3.0
             want = [knn_entropy(x[:, j], k=k) for j in range(4)]
             assert _marginal_entropies(x, k) == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_a_direct_tree_query(self, k):
+        # the KD-tree's distances, with the duplicate rule applied to them
+        def tree_entropy(col):
+            pts = col[:, None]
+            if np.unique(col, return_counts=True)[1].max() >= max(k, 2):
+                return math.inf
+            dist, _ = cKDTree(pts).query(pts, k=k + 1)
+            return _kl_entropy(col.size, 1, k, dist[:, k])
+
+        rng = np.random.default_rng(40 + k)
+        for trial in range(40):
+            n = k + 1 if trial < 8 else int(rng.integers(k + 2, 300))
+            x = rng.standard_normal((n, 4))
+            x[:, 1] = np.round(x[:, 1], 1)
+            x[:, 2] = np.exp(3.0 * x[:, 2])
+            x[:, 3] = np.round(4.0 * x[:, 3]) / 3.0
+            assert _marginal_entropies(x, k) == [tree_entropy(x[:, j]) for j in range(4)]
 
     def test_mi_knn_is_the_tree_decomposition(self):
         rng = np.random.default_rng(34)

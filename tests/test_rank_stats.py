@@ -17,6 +17,7 @@ from scipy import special
 
 from npn.errors import DegenerateColumn, DomainError
 from npn.rank_stats import (
+    _MERGE_BLOCK,
     TiePolicy,
     compute_ranks,
     count_inversions,
@@ -294,15 +295,67 @@ class TestKendall:
         with pytest.raises(DomainError):
             kendall_matrix(np.random.default_rng(0).standard_normal((10, 2)), backend="quadratic")
 
-    @pytest.mark.parametrize(("n_values", "d"), [((100,), 25), ((199, 200), 2), ((799, 800), 8)])
+    @pytest.mark.parametrize(
+        ("n_values", "d"),
+        [
+            ((100,), 25), ((199, 200), 2), ((799, 800), 8),
+            ((71, 72), 2), ((95, 96), 8), ((163, 164), 25),
+        ],
+    )
     def test_backends_bit_identical_on_tied_data(self, n_values, d):
-        # auto takes mergesort from n = 100 D on: n on both sides of it
+        # n on both sides of auto's switch: the first three cases straddle the
+        # former n = 100 D, the last three today's n = 64 + 4 D
         rng = np.random.default_rng(19)
         for n in n_values:
             x = np.round(rng.standard_normal((n, d)), 1)
             naive = kendall_matrix(x, backend="naive")
             assert np.array_equal(naive, kendall_matrix(x, backend="mergesort"))
             assert np.array_equal(naive, kendall_matrix(x))
+
+    @pytest.mark.parametrize(("n", "d"), [(_MERGE_BLOCK // 8 + 1, 6), (_MERGE_BLOCK // 3, 5)])
+    def test_mergesort_with_a_partial_last_chunk(self, n, d):
+        pairs, rows = d * (d - 1) // 2, _MERGE_BLOCK // n
+        assert rows > 1 and pairs % rows != 0
+        x = np.round(np.random.default_rng(22).standard_normal((n, d)), 1)
+        assert np.array_equal(kendall_matrix(x, backend="naive"), kendall_matrix(x, backend="mergesort"))
+
+    @pytest.mark.parametrize(("m", "copies"), [(4096, 8), (3641, 9)])
+    def test_mergesort_on_both_sides_of_the_key_width_switch(self, m, copies):
+        # n = 2^15 keeps int32 keys, n = 2^15 + 1 takes int64. Repeating every
+        # row c times multiplies the pair-sign sum by c^2, since copies of one
+        # row tie in both columns, so the naive sum of the m distinct rows
+        # gives the exact sum of all n = c m rows.
+        rng = np.random.default_rng(23)
+        small = np.round(rng.standard_normal((m, 2)), 1)
+        small_sum = round(kendall_matrix(small, backend="naive")[0, 1] * (m * (m - 1) // 2))
+        big = rng.permutation(np.repeat(small, copies, axis=0))
+        n = m * copies
+        want = copies * copies * small_sum / (n * (n - 1) // 2)
+        assert kendall_matrix(big, backend="mergesort")[0, 1] == want
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.column_stack([np.round(np.random.default_rng(24).standard_normal((300, 2)), 1), np.full(300, 2.5)]),
+            np.array([[1.0, 2.0, 5.0], [2.0, 1.0, 5.0]]),
+            np.array([[3.0, 3.0], [3.0, 1.0]]),
+            np.random.default_rng(25).standard_normal((50, 1)),
+        ],
+        ids=["constant-column", "n=2", "n=2-tied", "d=1"],
+    )
+    def test_mergesort_edge_shapes(self, x):
+        assert np.array_equal(kendall_matrix(x, backend="naive"), kendall_matrix(x, backend="mergesort"))
+
+    def test_mergesort_memory_stays_bounded(self):
+        # one chunk of column pairs at a time, not all D (D - 1) / 2 of them
+        x = np.random.default_rng(26).standard_normal((20_000, 4))
+        tracemalloc.start()
+        try:
+            kendall_matrix(x, backend="mergesort")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_naive_backend_memory_stays_bounded(self):
         # one block of signs at a time, not D sign matrices of n x n
