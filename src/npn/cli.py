@@ -7,6 +7,11 @@ Three subcommands:
 * ``npn bandable`` - print eigenvalue bounds for banded correlation decay,
   optionally verifying them on random draws.
 
+``--z`` is the eigenvalue floor of rho and tau only, and ``--k`` the
+neighbor count of knn only; the other estimators ignore both. (``npn
+estimate --entropy`` uses them too: its marginal entropies take k and its
+rho term takes z.) ``--verify`` counts draws and must be >= 0.
+
 Result documents carry the tool version and the resolved configuration,
 never timestamps, so identical invocations produce byte-identical output.
 Infinite estimates are serialized as the literal string ``inf``; absent
@@ -20,7 +25,6 @@ malformed input), 3 numeric failure (singular or degenerate computation).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -42,7 +46,7 @@ from .errors import (
     ParseError,
     SingularScatter,
 )
-from .estimators import DEFAULT_Z, EstimatorConfig, EstimatorKind, entropy_npn, estimate_mi
+from .estimators import DEFAULT_K, DEFAULT_Z, EstimatorConfig, EstimatorKind, entropy_npn, estimate_mi
 from .matrix_core import bandable_eigen_bounds
 from .rank_stats import TiePolicy, ensure_data_matrix
 from .simulation import (
@@ -94,29 +98,13 @@ _SIMULATE_COLUMNS = (
 )
 _BANDABLE_COLUMNS = ("c", "d", "lower", "upper", "draws", "min_eigenvalue", "max_eigenvalue", "violations")
 
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one command plus every knob it uses."""
-
-    command: str
-    input: str | None = None
-    estimators: tuple[EstimatorKind, ...] = ()
-    z: float | None = None
-    k: int = 2
-    ties: TiePolicy = TiePolicy.LITERAL
-    entropy: bool = False
-    experiment: ExperimentId | None = None
-    trials: int = 200
-    n: int = 100
-    d: int = 25
-    grid: tuple[float, ...] = ()
-    transform: MarginalTransform = MarginalTransform.EXP
-    seed: int = 0
-    c: float | None = None
-    verify: int = 0
-    fmt: str = "json"
-    out: str | None = None
+# The options each command echoes in its document's config, in order.
+_ECHO_FIELDS = {
+    "estimate": ("input", "estimators", "z", "k", "ties", "entropy", "format"),
+    "simulate": ("experiment", "trials", "n", "d", "grid", "estimators", "transform", "z", "k",
+                 "ties", "seed", "format"),
+    "bandable": ("c", "d", "verify", "seed", "format"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -212,74 +200,51 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _json_value(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
+def _json_value(obj):
+    """``obj`` with every infinite float spelled as a string."""
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_value(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return obj
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    if cfg.command == "estimate":
-        fields = {
-            "input": cfg.input,
-            "estimators": ",".join(k.value for k in cfg.estimators),
-            "z": cfg.z,
-            "k": cfg.k,
-            "ties": cfg.ties.value,
-            "entropy": cfg.entropy,
-        }
-    elif cfg.command == "simulate":
-        fields = {
-            "experiment": cfg.experiment.value,
-            "trials": cfg.trials,
-            "n": cfg.n,
-            "d": cfg.d,
-            "grid": ",".join(_fmt_value(v) for v in cfg.grid),
-            "estimators": ",".join(k.value for k in cfg.estimators),
-            "transform": cfg.transform.value,
-            "z": cfg.z,
-            "k": cfg.k,
-            "ties": cfg.ties.value,
-            "seed": cfg.seed,
-        }
-    else:
-        fields = {"c": cfg.c, "d": cfg.d, "verify": cfg.verify, "seed": cfg.seed}
-    fields["format"] = cfg.fmt
+def _config_echo(args: argparse.Namespace) -> dict:
+    fields = {}
+    for name in _ECHO_FIELDS[args.command]:
+        value = getattr(args, name)
+        if isinstance(value, tuple):  # estimator kinds or grid values
+            value = ",".join(_fmt_value(getattr(v, "value", v)) for v in value)
+        fields[name] = value
     return fields
 
 
-def _render_csv(cfg: RunConfig, columns: tuple[str, ...], rows: list[dict]) -> str:
-    echo = "; ".join(f"{k}={_fmt_value(v)}" for k, v in _config_echo(cfg).items())
-    lines = [
-        f"# version: {__version__}",
-        f"# command: {cfg.command}",
-        f"# config: {echo}",
-        ",".join(columns),
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt_value(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+def _emit(args: argparse.Namespace, columns: tuple[str, ...], rows: list[dict], body: dict) -> None:
+    """Write the result document, as ``args.format`` asks, to ``args.out`` or stdout.
 
-
-def _render_json(cfg: RunConfig, body: dict) -> str:
-    doc = {"version": __version__, "command": cfg.command, "config": _config_echo(cfg)}
-    doc.update(body)
-
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [clean(v) for v in obj]
-        return _json_value(obj)
-
-    return json.dumps(clean(doc), indent=2) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+    A CSV document is a ``#`` preamble, ``columns`` and one line per row;
+    a JSON document is the preamble's fields followed by ``body``.
+    """
+    config = _config_echo(args)
+    if args.format == "csv":
+        echo = "; ".join(f"{k}={_fmt_value(v)}" for k, v in config.items())
+        lines = [
+            f"# version: {__version__}",
+            f"# command: {args.command}",
+            f"# config: {echo}",
+            ",".join(columns),
+        ]
+        lines += [",".join(_fmt_value(row.get(col)) for col in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        doc = {"version": __version__, "command": args.command, "config": config, **body}
+        text = json.dumps(_json_value(doc), indent=2) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +259,19 @@ def _classify(exc: Exception) -> tuple[int, str]:
     return EXIT_NUMERIC, "error"
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def _estimator_config(kind: EstimatorKind, args: argparse.Namespace) -> EstimatorConfig:
+    """The estimator's config: ``--z`` reaches rho/tau only, ``--k`` knn only."""
+    return EstimatorConfig(
+        kind,
+        z=args.z if kind in (EstimatorKind.RHO, EstimatorKind.TAU) else None,
+        k=args.k if kind is EstimatorKind.KNN else DEFAULT_K,
+        tie_policy=TiePolicy(args.ties),
+    )
+
+
+def cmd_estimate(args: argparse.Namespace) -> int:
     """Run the selected estimators on one dataset and emit a document."""
-    data = load_csv(cfg.input)
+    data = load_csv(args.input)
     rows: list[dict] = []
     estimates: list[dict] = []
     errors: list[dict] = []
@@ -308,13 +283,11 @@ def cmd_estimate(cfg: RunConfig) -> int:
         rows.append({"estimator": name, "error": type(exc).__name__})
         return _classify(exc)[0]
 
-    for kind in cfg.estimators:
-        z = cfg.z if kind in (EstimatorKind.RHO, EstimatorKind.TAU) else None
+    for kind in args.estimators:
         try:
-            est_cfg = EstimatorConfig(kind, z=z, k=cfg.k, tie_policy=cfg.ties)
+            est_cfg = _estimator_config(kind, args)
             est = estimate_mi(data, est_cfg)
-            if (kind is EstimatorKind.RHO and est_cfg.tie_policy is TiePolicy.LITERAL
-                    and est_cfg.effective_z == cfg.z):
+            if kind is EstimatorKind.RHO and est_cfg.tie_policy is TiePolicy.LITERAL:
                 # The very estimate entropy_npn would compute.
                 entropy_rho = est
             entry = {
@@ -329,46 +302,37 @@ def cmd_estimate(cfg: RunConfig) -> int:
         except NpnError as exc:
             worst = max(worst, record_error(kind.value, exc))
     body: dict = {"estimates": estimates, "errors": errors}
-    if cfg.entropy:
+    if args.entropy:
         try:
-            h = entropy_npn(data, z=cfg.z, k=cfg.k, mi=entropy_rho)
+            h = entropy_npn(data, z=args.z, k=args.k, mi=entropy_rho)
             body["entropy"] = h
             rows.append({"estimator": "entropy", "value": h, "error": None})
         except NpnError as exc:
             worst = max(worst, record_error("entropy", exc))
-    if cfg.fmt == "csv":
-        _emit(_render_csv(cfg, _ESTIMATE_COLUMNS, rows), cfg.out)
-    else:
-        _emit(_render_json(cfg, body), cfg.out)
+    _emit(args, _ESTIMATE_COLUMNS, rows, body)
     return worst
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a benchmark protocol and emit its MSE summary table."""
-    estimator_cfgs = tuple(
-        EstimatorConfig(
-            kind,
-            z=cfg.z if kind in (EstimatorKind.RHO, EstimatorKind.TAU) else None,
-            k=cfg.k if kind is EstimatorKind.KNN else 2,
-            tie_policy=cfg.ties,
-        )
-        for kind in cfg.estimators
-    )
+    experiment = ExperimentId(args.experiment)
+    if args.k is None:
+        # Resolved in place, so the document echoes the k that ran.
+        args.k = experiment.default_k
     spec = ExperimentSpec(
-        experiment=cfg.experiment,
-        trials=cfg.trials,
-        n=cfg.n,
-        d=cfg.d,
-        sweep=cfg.grid,
-        estimators=estimator_cfgs,
-        transform=cfg.transform,
-        seed=cfg.seed,
-    ).resolved()
-    summaries = run_experiment(spec)
+        experiment=experiment,
+        trials=args.trials,
+        n=args.n,
+        d=args.d,
+        sweep=args.grid,
+        estimators=tuple(_estimator_config(kind, args) for kind in args.estimators),
+        transform=MarginalTransform(args.transform),
+        seed=args.seed,
+    )
     rows = [
         {
-            "experiment": spec.experiment.value,
-            "sweep_param": spec.experiment.sweep_param,
+            "experiment": experiment.value,
+            "sweep_param": experiment.sweep_param,
             "sweep_value": s.sweep_value,
             "estimator": s.estimator.value,
             "mse": s.mse,
@@ -376,57 +340,42 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "finite_fraction": s.finite_fraction,
             "trials": s.trials,
         }
-        for s in summaries
+        for s in run_experiment(spec)
     ]
-    if cfg.fmt == "csv":
-        _emit(_render_csv(cfg, _SIMULATE_COLUMNS, rows), cfg.out)
-    else:
-        _emit(_render_json(cfg, {"summaries": rows}), cfg.out)
+    _emit(args, _SIMULATE_COLUMNS, rows, {"summaries": rows})
     return EXIT_OK
 
 
-def cmd_bandable(cfg: RunConfig) -> int:
+def cmd_bandable(args: argparse.Namespace) -> int:
     """Print bandable eigenvalue bounds, optionally verified on samples."""
-    lower, upper = bandable_eigen_bounds(cfg.c, cfg.d)
-    if cfg.c >= 1.0 / 3.0:
+    if args.verify < 0:
+        raise _UsageError(f"--verify must be >= 0, got {args.verify}")
+    lower, upper = bandable_eigen_bounds(args.c, args.d)
+    if args.c >= 1.0 / 3.0:
         sys.stderr.write(
             "warning: lower bound is not a positivity guarantee unless c < 1/3\n"
         )
-    row: dict = {
-        "c": cfg.c,
-        "d": cfg.d,
-        "lower": lower,
-        "upper": upper,
-        "draws": cfg.verify or None,
-        "min_eigenvalue": None,
-        "max_eigenvalue": None,
-        "violations": None,
-    }
-    verify_block = None
-    if cfg.verify > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed,)))
+    verify = None
+    if args.verify > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(args.seed,)))
         lo = math.inf
         hi = -math.inf
         violations = 0
-        for i in range(cfg.verify):
-            m = sample_bandable(cfg.c, cfg.d, rng, boundary=(i == 0))
+        for i in range(args.verify):
+            m = sample_bandable(args.c, args.d, rng, boundary=(i == 0))
             eig = np.linalg.eigvalsh(m)
             lo = min(lo, float(eig[0]))
             hi = max(hi, float(eig[-1]))
             if eig[0] < lower - 1e-9 or eig[-1] > upper + 1e-9:
                 violations += 1
-        row.update(min_eigenvalue=lo, max_eigenvalue=hi, violations=violations)
-        verify_block = {
-            "draws": cfg.verify,
+        verify = {
+            "draws": args.verify,
             "min_eigenvalue": lo,
             "max_eigenvalue": hi,
             "violations": violations,
         }
-    body = {"lower": lower, "upper": upper, "verify": verify_block}
-    if cfg.fmt == "csv":
-        _emit(_render_csv(cfg, _BANDABLE_COLUMNS, [row]), cfg.out)
-    else:
-        _emit(_render_json(cfg, body), cfg.out)
+    row = {"c": args.c, "d": args.d, "lower": lower, "upper": upper, **(verify or {})}
+    _emit(args, _BANDABLE_COLUMNS, [row], {"lower": lower, "upper": upper, "verify": verify})
     return EXIT_OK
 
 
@@ -450,8 +399,6 @@ def _split_estimators(text: str) -> tuple[EstimatorKind, ...]:
                 f"unknown estimator {name!r}; choose from "
                 + ",".join(k.value for k in EstimatorKind)
             )
-    if not kinds:
-        raise _UsageError("at least one estimator is required")
     return tuple(kinds)
 
 
@@ -460,7 +407,8 @@ def _split_grid(text: str) -> tuple[float, ...]:
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise _UsageError(f"cannot parse grid {text!r}")
-    if not values:
+    # An empty argument keeps the experiment's default grid.
+    if text and not values:
         raise _UsageError("grid must contain at least one value")
     return values
 
@@ -478,12 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True, help="CSV file, rows = samples")
     est.add_argument(
         "--estimators",
+        type=_split_estimators,
         default="rho",
         help="comma list from gaussian,gauss,rho,tau,knn (default rho)",
     )
     est.add_argument("--z", type=float, default=DEFAULT_Z,
                      help="eigenvalue floor for rho/tau (default 1e-3; gauss is never floored)")
-    est.add_argument("--k", type=int, default=2, help="kNN neighbor count (default 2)")
+    est.add_argument("--k", type=int, default=DEFAULT_K,
+                     help="neighbor count for knn (default 2; the other estimators ignore it)")
     est.add_argument("--ties", choices=["literal", "midrank"], default="literal",
                      help="tie handling for ranks (default literal)")
     est.add_argument("--entropy", action="store_true",
@@ -498,16 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=100)
     sim.add_argument("--d", type=int, default=25)
     sim.add_argument("--grid", "--n-grid", "--alpha-grid", "--beta-grid", "--sigma-grid",
-                     dest="grid", default=None,
+                     dest="grid", type=_split_grid, default=(),
                      help="comma list of sweep values (default per experiment)")
     sim.add_argument("--transform",
                      choices=[t.value for t in MarginalTransform],
                      default="exp", help="marginal transform for experiment 2")
-    sim.add_argument("--estimators", default="gaussian,gauss,rho,tau,knn",
+    sim.add_argument("--estimators", type=_split_estimators, default="gaussian,gauss,rho,tau,knn",
                      help="comma list from gaussian,gauss,rho,tau,knn")
-    sim.add_argument("--z", type=float, default=DEFAULT_Z)
+    sim.add_argument("--z", type=float, default=DEFAULT_Z, help="eigenvalue floor for rho/tau")
     sim.add_argument("--k", type=int, default=None,
-                     help="kNN neighbor count (default 2; 20 for experiment 3)")
+                     help="neighbor count for knn (default 2; 20 for experiment 3)")
     sim.add_argument("--ties", choices=["literal", "midrank"], default="literal")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -517,54 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
     band.add_argument("--c", required=True, type=float, help="decay base in (0, 1)")
     band.add_argument("--d", required=True, type=int, help="matrix dimension")
     band.add_argument("--verify", type=int, default=0,
-                      help="sample this many bandable matrices and report extreme eigenvalues")
+                      help="sample this many (>= 0) bandable matrices and report extreme "
+                      "eigenvalues")
     band.add_argument("--seed", type=int, default=0)
     band.add_argument("--format", choices=["csv", "json"], default="json")
     band.add_argument("--out", default=None)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "estimate":
-        return RunConfig(
-            command="estimate",
-            input=args.input,
-            estimators=_split_estimators(args.estimators),
-            z=args.z,
-            k=args.k,
-            ties=TiePolicy(args.ties),
-            entropy=args.entropy,
-            fmt=args.format,
-            out=args.out,
-        )
-    if args.command == "simulate":
-        experiment = ExperimentId(args.experiment)
-        k = args.k if args.k is not None else (20 if experiment is ExperimentId.OUTLIERS else 2)
-        return RunConfig(
-            command="simulate",
-            experiment=experiment,
-            trials=args.trials,
-            n=args.n,
-            d=args.d,
-            grid=_split_grid(args.grid) if args.grid else (),
-            estimators=_split_estimators(args.estimators),
-            transform=MarginalTransform(args.transform),
-            z=args.z,
-            k=k,
-            ties=TiePolicy(args.ties),
-            seed=args.seed,
-            fmt=args.format,
-            out=args.out,
-        )
-    return RunConfig(
-        command="bandable",
-        c=args.c,
-        d=args.d,
-        verify=args.verify,
-        seed=args.seed,
-        fmt=args.format,
-        out=args.out,
-    )
 
 
 def main(argv=None) -> int:
@@ -572,12 +480,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        if cfg.command == "estimate":
-            return cmd_estimate(cfg)
-        if cfg.command == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_bandable(cfg)
+        if args.command == "estimate":
+            return cmd_estimate(args)
+        if args.command == "simulate":
+            return cmd_simulate(args)
+        return cmd_bandable(args)
     except (_UsageError, NpnError, OSError) as exc:
         code, prefix = _classify(exc)
         sys.stderr.write(f"{prefix}: {exc}\n")

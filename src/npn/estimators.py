@@ -316,9 +316,10 @@ def knn_entropy(p, k: int = DEFAULT_K) -> float:
     A single column goes through the one-sort pass of
     :func:`_marginal_entropies`, whose distances are plain absolute
     differences. For d >= 2 the distances come from a KD-tree, which
-    squares coordinate differences: where those squares underflow (below
-    about 1e-154) or overflow (above about 1e154) the estimate is inexact,
-    or ``math.inf``.
+    squares coordinate differences; the tree holds the points scaled by a
+    power of two to a largest magnitude in [1/2, 1), so those squares
+    neither underflow nor overflow at extreme scales, and the scaling,
+    being exact, leaves the distances' bits as they are at ordinary ones.
 
     Raises
     ------
@@ -333,8 +334,10 @@ def knn_entropy(p, k: int = DEFAULT_K) -> float:
     _, counts = np.unique(m, axis=0, return_counts=True)
     if int(counts.max()) >= max(k, 2):
         return math.inf
-    dist, _ = cKDTree(m).query(m, k=k + 1)
-    return _kl_entropy(n, d, k, dist[:, k])
+    e = np.frexp(np.max(np.abs(m)))[1]
+    unit = np.ldexp(m, -e)
+    dist, _ = cKDTree(unit).query(unit, k=k + 1)
+    return _kl_entropy(n, d, k, np.ldexp(dist[:, k], e))
 
 
 def _marginal_entropies(m: np.ndarray, k: int) -> list[float]:

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateDraw, DomainError, NotPositiveDefinite, NpnError
-from .estimators import EstimatorConfig, EstimatorKind, estimate_mi, true_mi
+from .estimators import DEFAULT_K, EstimatorConfig, EstimatorKind, estimate_mi, true_mi
 from .matrix_core import as_symmetric
 from .rank_stats import ensure_data_matrix
 
@@ -101,6 +101,11 @@ class ExperimentId(enum.Enum):
             ExperimentId.SIGMA: "sigma",
         }[self]
 
+    @property
+    def default_k(self) -> int:
+        """kNN neighbor count by default: 20 against experiment 3's atoms, else 2."""
+        return 20 if self is ExperimentId.OUTLIERS else DEFAULT_K
+
 
 _DEFAULT_SWEEPS = {
     ExperimentId.SAMPLE_SIZE: (32.0, 64.0, 128.0, 256.0, 512.0, 1024.0),
@@ -111,13 +116,12 @@ _DEFAULT_SWEEPS = {
 
 
 def _default_estimators(experiment: ExperimentId) -> tuple[EstimatorConfig, ...]:
-    k = 20 if experiment is ExperimentId.OUTLIERS else 2
     return (
         EstimatorConfig(EstimatorKind.GAUSSIAN_PLUGIN),
         EstimatorConfig(EstimatorKind.GAUSS),
         EstimatorConfig(EstimatorKind.RHO),
         EstimatorConfig(EstimatorKind.TAU),
-        EstimatorConfig(EstimatorKind.KNN, k=k),
+        EstimatorConfig(EstimatorKind.KNN, k=experiment.default_k),
     )
 
 

@@ -1,7 +1,10 @@
 """End-to-end tests for the command line interface and CSV round trips."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +230,25 @@ class TestEstimateCommand:
             for name in ("rho", "entropy")
         ]
 
+    def test_k_reaches_knn_only(self, corr_csv, capsys):
+        code, doc = run_json(
+            capsys,
+            ["estimate", "--input", str(corr_csv), "--estimators", "rho,knn", "--k", "0"],
+        )
+        assert code == 1
+        assert [e["estimator"] for e in doc["estimates"]] == ["rho"]
+        assert doc["errors"] == [
+            {"estimator": "knn", "error": "DomainError",
+             "message": "neighbor count k must be >= 1, got 0"}
+        ]
+
+    def test_config_line_at_defaults(self, corr_csv, capsys):
+        assert main(["estimate", "--input", str(corr_csv), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == (
+            f"# config: input={corr_csv}; estimators=rho; z=0.001; k=2; ties=literal; "
+            "entropy=False; format=csv"
+        )
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "absent.csv")]) == 2
 
@@ -380,6 +402,29 @@ class TestSimulateCommand:
         assert "ties=literal" in lines["literal"]
         assert "ties=midrank" in lines["midrank"]
 
+    @pytest.mark.parametrize(("experiment", "k"), [(1, 2), (2, 2), (3, 20), (4, 2)])
+    def test_config_line_at_defaults(self, capsys, monkeypatch, experiment, k):
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+        assert main(["simulate", "--experiment", str(experiment)]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == (
+            f"# config: experiment={experiment}; trials=200; n=100; d=25; grid=; "
+            "estimators=gaussian,gauss,rho,tau,knn; transform=exp; z=0.001; "
+            f"k={k}; ties=literal; seed=0; format=csv"
+        )
+        assert [c.k for c in specs[0].estimators] == [2, 2, 2, 2, k]
+
+    def test_json_config_object_at_defaults(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: [])
+        code, doc = run_json(capsys, ["simulate", "--experiment", "3", "--format", "json"])
+        assert code == 0
+        assert list(doc["config"].items()) == [
+            ("experiment", 3), ("trials", 200), ("n", 100), ("d", 25), ("grid", ""),
+            ("estimators", "gaussian,gauss,rho,tau,knn"), ("transform", "exp"), ("z", 0.001),
+            ("k", 20), ("ties", "literal"), ("seed", 0), ("format", "json"),
+        ]
+        assert doc["summaries"] == []
+
     def test_bad_experiment_number_is_usage_error(self):
         assert main(["simulate", "--experiment", "9", "--trials", "1"]) == 1
 
@@ -424,6 +469,25 @@ class TestBandableCommand:
         assert lines[3] == "c,d,lower,upper,draws,min_eigenvalue,max_eigenvalue,violations"
         assert lines[4].startswith("0.2,5,")
 
+    def test_csv_row_matches_the_json_verify_block(self, capsys):
+        argv = ["bandable", "--c", "0.2", "--d", "6", "--verify", "3"]
+        _, doc = run_json(capsys, argv)
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "# config: c=0.2; d=6; verify=3; seed=0; format=csv"
+        block = doc["verify"]
+        assert lines[4] == ",".join(
+            repr(v) if isinstance(v, float) else str(v)
+            for v in (0.2, 6, doc["lower"], doc["upper"], block["draws"],
+                      block["min_eigenvalue"], block["max_eigenvalue"], block["violations"])
+        )
+
+    def test_negative_verify_is_usage_error(self, capsys):
+        assert main(["bandable", "--c", "0.2", "--d", "4", "--verify", "-2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --verify must be >= 0, got -2\n"
+
     @pytest.mark.parametrize("c", ["0.0", "1.0", "1.2", "-0.1"])
     def test_c_outside_open_interval_is_usage_error(self, c):
         assert main(["bandable", "--c", c, "--d", "5"]) == 1
@@ -455,3 +519,20 @@ class TestMainErrors:
             monkeypatch.setattr(cli, "run_experiment", fail)
         assert main(argv) == code
         assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_run_experiments_script_writes_every_table(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(
+        sys, "argv",
+        ["run_experiments.py", "--out-dir", str(tmp_path), "--trials", "1", "--trials-e4", "1"],
+    )
+    assert script.main() == 0
+    names = ["e1_sample_size.csv", "e3_outliers.csv", "e4_sigma.csv"] + [
+        f"e2_marginals_{t}.csv" for t in script.TRANSFORMS
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert "; k=20;" in (tmp_path / "e3_outliers.csv").read_text().splitlines()[2]

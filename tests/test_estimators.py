@@ -412,6 +412,21 @@ class TestKnnEntropy:
         assert knn_entropy(scale * x, k=2) == pytest.approx(want, rel=0, abs=1e-9)
         assert _marginal_entropies((scale * x)[:, None], 2) == [knn_entropy(scale * x, k=2)]
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+    def test_joint_tree_follows_the_scale_law_at_extreme_scales(self, scale):
+        # the joint distances would square to below or above the float range
+        x = np.random.default_rng(0).standard_normal((50, 2))
+        want = knn_entropy(x, k=2) + 2 * math.log(scale)
+        assert knn_entropy(scale * x, k=2) == pytest.approx(want, rel=0, abs=1e-9)
+        assert mi_knn(scale * x, k=2).value == pytest.approx(mi_knn(x, k=2).value, rel=0, abs=1e-9)
+
+    def test_joint_tree_keeps_the_distances_of_an_unscaled_tree(self):
+        rng = np.random.default_rng(19)
+        for d, k in ((2, 1), (3, 2), (6, 4)):
+            x = 1e3 * rng.standard_normal((200, d))
+            dist, _ = cKDTree(x).query(x, k=k + 1)
+            assert knn_entropy(x, k=k) == _kl_entropy(200, d, k, dist[:, k])
+
     def test_two_dimensional_gaussian(self):
         rng = np.random.default_rng(18)
         chol = np.linalg.cholesky(corr2(0.0))
