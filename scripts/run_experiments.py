@@ -11,17 +11,22 @@ import time
 from pathlib import Path
 
 from npn.cli import main as npn_main
+from npn.simulation import MarginalTransform
 
-TRANSFORMS = ["exp", "cubic", "tanh", "sigmoid", "normcdf"]
+TRANSFORMS = [t.value for t in MarginalTransform if t is not MarginalTransform.IDENTITY]
 
-
-def run(argv, out_path):
-    start = time.perf_counter()
-    rc = npn_main(argv + ["--out", str(out_path)])
-    elapsed = time.perf_counter() - start
-    status = "ok" if rc == 0 else f"exit {rc}"
-    print(f"  {out_path.name:24s} {status} ({elapsed:.1f}s)")
-    return 0 if rc == 0 else 1
+# (experiment, heading, output file, simulate arguments) of every run, in order;
+# experiment 4 runs --trials-e4 trials and the others --trials.
+E2 = "experiment 2: marginal transforms, D = 25, n = 100"
+RUNS = [
+    ("1", "experiment 1: sample-size sweep, D = 8", "e1_sample_size.csv", ["--d", "8"]),
+    *(("2", E2, f"e2_marginals_{name}.csv",
+       ["--transform", name, "--estimators", "gaussian,gauss,rho,tau"]) for name in TRANSFORMS),
+    ("3", "experiment 3: outlier contamination, D = 25, n = 100", "e3_outliers.csv",
+     ["--estimators", "gaussian,tau,knn"]),
+    ("4", "experiment 4: strong dependence, D = 2", "e4_sigma.csv",
+     ["--estimators", "gaussian,rho,knn"]),
+]
 
 
 def main():
@@ -40,44 +45,21 @@ def main():
     wanted = {s.strip() for s in args.experiments.split(",") if s.strip()}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-
-    common = ["--seed", str(args.seed), "--format", "csv"]
-
-    if "1" in wanted:
-        print("experiment 1: sample-size sweep, D = 8")
-        failures += run(
-            ["simulate", "--experiment", "1", "--d", "8",
-             "--trials", str(args.trials)] + common,
-            args.out_dir / "e1_sample_size.csv",
-        )
-
-    if "2" in wanted:
-        print("experiment 2: marginal transforms, D = 25, n = 100")
-        for name in TRANSFORMS:
-            failures += run(
-                ["simulate", "--experiment", "2", "--transform", name,
-                 "--estimators", "gaussian,gauss,rho,tau",
-                 "--trials", str(args.trials)] + common,
-                args.out_dir / f"e2_marginals_{name}.csv",
-            )
-
-    if "3" in wanted:
-        print("experiment 3: outlier contamination, D = 25, n = 100")
-        failures += run(
-            ["simulate", "--experiment", "3",
-             "--estimators", "gaussian,tau,knn",
-             "--trials", str(args.trials)] + common,
-            args.out_dir / "e3_outliers.csv",
-        )
-
-    if "4" in wanted:
-        print("experiment 4: strong dependence, D = 2")
-        failures += run(
-            ["simulate", "--experiment", "4",
-             "--estimators", "gaussian,rho,knn",
-             "--trials", str(args.trials_e4)] + common,
-            args.out_dir / "e4_sigma.csv",
-        )
+    printed = None
+    for experiment, heading, name, extra in RUNS:
+        if experiment not in wanted:
+            continue
+        if heading != printed:
+            print(heading)
+            printed = heading
+        trials = args.trials_e4 if experiment == "4" else args.trials
+        start = time.perf_counter()
+        rc = npn_main(["simulate", "--experiment", experiment, *extra, "--trials", str(trials),
+                       "--seed", str(args.seed), "--format", "csv",
+                       "--out", str(args.out_dir / name)])
+        status = "ok" if rc == 0 else f"exit {rc}"
+        print(f"  {name:24s} {status} ({time.perf_counter() - start:.1f}s)")
+        failures += rc != 0
 
     if failures:
         print(f"{failures} run(s) failed")

@@ -1,85 +1,20 @@
 """Rank-based mutual information and entropy estimation under the
-Gaussian copula (nonparanormal) model."""
+Gaussian copula (nonparanormal) model.
+
+Every name in a module's ``__all__`` is importable from the package.
+"""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateColumn,
-    DegenerateDraw,
-    DomainError,
-    EmptyFile,
-    InsufficientSamples,
-    NoConvergence,
-    NonFiniteValue,
-    NotPositiveDefinite,
-    NpnError,
-    ParseError,
-    SingularScatter,
-)
-from .matrix_core import (
-    EigenDecomposition,
-    as_correlation,
-    as_symmetric,
-    bandable_eigen_bounds,
-    cholesky_logdet,
-    is_bandable,
-    project_to_cone,
-    sym_eigen,
-)
-from .rank_stats import (
-    TiePolicy,
-    compute_ranks,
-    gaussianize,
-    kendall_matrix,
-    latent_from_rank_corr,
-    probit,
-    sigma_g,
-    spearman_matrix,
-)
-from .estimators import (
-    EstimatorConfig,
-    EstimatorKind,
-    MiEstimate,
-    digamma,
-    entropy_npn,
-    estimate_mi,
-    knn_entropy,
-    mi_from_latent,
-    mi_gaussian_plugin,
-    mi_knn,
-    plugin_logdet_bias,
-    true_mi,
-)
-from .simulation import (
-    ExperimentId,
-    ExperimentSpec,
-    MarginalTransform,
-    MseSummary,
-    TrialRecord,
-    apply_marginal_transform,
-    inject_outliers,
-    mse_aggregate,
-    run_experiment,
-    sample_bandable,
-    sample_correlation_wishart,
-    sample_gaussian,
-)
+from . import errors, matrix_core, rank_stats, estimators, simulation
+from .errors import *
+from .matrix_core import *
+from .rank_stats import *
+from .estimators import *
+from .simulation import *
 
-__all__ = [
-    "__version__",
-    "NpnError", "DomainError", "NotPositiveDefinite", "NoConvergence",
-    "DegenerateColumn", "SingularScatter", "InsufficientSamples",
-    "DegenerateDraw", "ParseError", "NonFiniteValue", "EmptyFile",
-    "EigenDecomposition", "as_symmetric", "as_correlation",
-    "cholesky_logdet", "sym_eigen", "project_to_cone",
-    "bandable_eigen_bounds", "is_bandable",
-    "TiePolicy", "compute_ranks", "probit", "gaussianize", "sigma_g",
-    "spearman_matrix", "kendall_matrix", "latent_from_rank_corr",
-    "EstimatorKind", "EstimatorConfig", "MiEstimate", "true_mi",
-    "mi_from_latent", "estimate_mi", "mi_gaussian_plugin",
-    "plugin_logdet_bias", "digamma", "knn_entropy", "mi_knn", "entropy_npn",
-    "MarginalTransform", "ExperimentId", "ExperimentSpec", "TrialRecord",
-    "MseSummary", "sample_correlation_wishart", "sample_gaussian",
-    "sample_bandable", "apply_marginal_transform", "inject_outliers",
-    "run_experiment", "mse_aggregate",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, matrix_core, rank_stats, estimators, simulation)
+    for name in module.__all__
 ]

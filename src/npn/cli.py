@@ -10,7 +10,8 @@ Three subcommands:
 ``--z`` is the eigenvalue floor of rho and tau only, and ``--k`` the
 neighbor count of knn only; the other estimators ignore both. (``npn
 estimate --entropy`` uses them too: its marginal entropies take k and its
-rho term takes z.) ``--verify`` counts draws and must be >= 0.
+rho term takes z.) ``--verify`` counts draws and must be >= 0, and so
+must ``bandable``'s ``--seed``.
 
 Result documents carry the tool version and the resolved configuration,
 never timestamps, so identical invocations produce byte-identical output.
@@ -25,6 +26,7 @@ malformed input), 3 numeric failure (singular or degenerate computation).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -98,6 +100,10 @@ _SIMULATE_COLUMNS = (
 )
 _BANDABLE_COLUMNS = ("c", "d", "lower", "upper", "draws", "min_eigenvalue", "max_eigenvalue", "violations")
 
+_FORMATS = ("csv", "json")
+_TIES = tuple(t.value for t in TiePolicy)
+_ESTIMATOR_NAMES = ",".join(k.value for k in EstimatorKind)
+
 # The options each command echoes in its document's config, in order.
 _ECHO_FIELDS = {
     "estimate": ("input", "estimators", "z", "k", "ties", "entropy", "format"),
@@ -124,7 +130,8 @@ def load_csv(path) -> np.ndarray:
     A single header row is auto-detected: if any comma-separated token of
     the first row fails to parse as a number, the row is skipped. Tokens
     like ``NaN`` or ``inf`` parse as numbers, so they are treated as data
-    and rejected with their position. Blank lines are ignored.
+    and rejected with their position. Blank lines and a leading UTF-8 byte
+    order mark are ignored.
 
     Raises
     ------
@@ -136,7 +143,7 @@ def load_csv(path) -> np.ndarray:
     EmptyFile
         No data rows remain.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     rows: list[list[float]] = []
     width = None
     first_content_row = True
@@ -263,7 +270,7 @@ def _estimator_config(kind: EstimatorKind, args: argparse.Namespace) -> Estimato
     """The estimator's config: ``--z`` reaches rho/tau only, ``--k`` knn only."""
     return EstimatorConfig(
         kind,
-        z=args.z if kind in (EstimatorKind.RHO, EstimatorKind.TAU) else None,
+        z=args.z if kind.floored else None,
         k=args.k if kind is EstimatorKind.KNN else DEFAULT_K,
         tie_policy=TiePolicy(args.ties),
     )
@@ -350,6 +357,8 @@ def cmd_bandable(args: argparse.Namespace) -> int:
     """Print bandable eigenvalue bounds, optionally verified on samples."""
     if args.verify < 0:
         raise _UsageError(f"--verify must be >= 0, got {args.verify}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     lower, upper = bandable_eigen_bounds(args.c, args.d)
     if args.c >= 1.0 / 3.0:
         sys.stderr.write(
@@ -395,10 +404,7 @@ def _split_estimators(text: str) -> tuple[EstimatorKind, ...]:
         try:
             kinds.append(EstimatorKind(name))
         except ValueError:
-            raise _UsageError(
-                f"unknown estimator {name!r}; choose from "
-                + ",".join(k.value for k in EstimatorKind)
-            )
+            raise _UsageError(f"unknown estimator {name!r}; choose from {_ESTIMATOR_NAMES}")
     return tuple(kinds)
 
 
@@ -428,39 +434,40 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimators",
         type=_split_estimators,
         default="rho",
-        help="comma list from gaussian,gauss,rho,tau,knn (default rho)",
+        help=f"comma list from {_ESTIMATOR_NAMES} (default rho)",
     )
     est.add_argument("--z", type=float, default=DEFAULT_Z,
                      help="eigenvalue floor for rho/tau (default 1e-3; gauss is never floored)")
     est.add_argument("--k", type=int, default=DEFAULT_K,
                      help="neighbor count for knn (default 2; the other estimators ignore it)")
-    est.add_argument("--ties", choices=["literal", "midrank"], default="literal",
+    est.add_argument("--ties", choices=_TIES, default="literal",
                      help="tie handling for ranks (default literal)")
     est.add_argument("--entropy", action="store_true",
                      help="also report the copula entropy estimate")
-    est.add_argument("--format", choices=["csv", "json"], default="json")
+    est.add_argument("--format", choices=_FORMATS, default="json")
     est.add_argument("--out", default=None, help="output path (default stdout)")
 
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
     sim = sub.add_parser("simulate", help="run one of the benchmark protocols")
-    sim.add_argument("--experiment", required=True, type=int, choices=[1, 2, 3, 4],
+    sim.add_argument("--experiment", required=True, type=int,
+                     choices=[e.value for e in ExperimentId],
                      help="1 sample size, 2 marginals, 3 outliers, 4 strong dependence")
-    sim.add_argument("--trials", type=int, default=200)
-    sim.add_argument("--n", type=int, default=100)
-    sim.add_argument("--d", type=int, default=25)
-    sim.add_argument("--grid", "--n-grid", "--alpha-grid", "--beta-grid", "--sigma-grid",
+    for name in ("trials", "n", "d"):
+        sim.add_argument(f"--{name}", type=int, default=defaults[name])
+    sim.add_argument("--grid", *(f"--{e.sweep_param}-grid" for e in ExperimentId),
                      dest="grid", type=_split_grid, default=(),
                      help="comma list of sweep values (default per experiment)")
-    sim.add_argument("--transform",
-                     choices=[t.value for t in MarginalTransform],
-                     default="exp", help="marginal transform for experiment 2")
-    sim.add_argument("--estimators", type=_split_estimators, default="gaussian,gauss,rho,tau,knn",
-                     help="comma list from gaussian,gauss,rho,tau,knn")
+    sim.add_argument("--transform", choices=[t.value for t in MarginalTransform],
+                     default=defaults["transform"].value,
+                     help="marginal transform for experiment 2")
+    sim.add_argument("--estimators", type=_split_estimators, default=_ESTIMATOR_NAMES,
+                     help=f"comma list from {_ESTIMATOR_NAMES}")
     sim.add_argument("--z", type=float, default=DEFAULT_Z, help="eigenvalue floor for rho/tau")
     sim.add_argument("--k", type=int, default=None,
                      help="neighbor count for knn (default 2; 20 for experiment 3)")
-    sim.add_argument("--ties", choices=["literal", "midrank"], default="literal")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--format", choices=["csv", "json"], default="csv")
+    sim.add_argument("--ties", choices=_TIES, default="literal")
+    sim.add_argument("--seed", type=int, default=defaults["seed"])
+    sim.add_argument("--format", choices=_FORMATS, default="csv")
     sim.add_argument("--out", default=None)
 
     band = sub.add_parser("bandable", help="eigenvalue bounds for banded correlation decay")
@@ -470,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sample this many (>= 0) bandable matrices and report extreme "
                       "eigenvalues")
     band.add_argument("--seed", type=int, default=0)
-    band.add_argument("--format", choices=["csv", "json"], default="json")
+    band.add_argument("--format", choices=_FORMATS, default="json")
     band.add_argument("--out", default=None)
     return parser
 

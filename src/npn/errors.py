@@ -7,6 +7,20 @@ data problems (bad input files, non-finite values) from numeric failures
 process exit codes.
 """
 
+__all__ = [
+    "NpnError",
+    "DomainError",
+    "NotPositiveDefinite",
+    "NoConvergence",
+    "DegenerateColumn",
+    "SingularScatter",
+    "InsufficientSamples",
+    "DegenerateDraw",
+    "ParseError",
+    "NonFiniteValue",
+    "EmptyFile",
+]
+
 
 class NpnError(Exception):
     """Base class for all library errors."""

@@ -78,6 +78,11 @@ class EstimatorKind(enum.Enum):
     TAU = "tau"
     KNN = "knn"
 
+    @property
+    def floored(self) -> bool:
+        """Whether the latent estimate's eigenvalues are floored at z (rho, tau)."""
+        return self in (self.RHO, self.TAU)
+
 
 @dataclasses.dataclass(frozen=True)
 class EstimatorConfig:
@@ -94,21 +99,18 @@ class EstimatorConfig:
     tie_policy: TiePolicy = TiePolicy.LITERAL
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DomainError(f"neighbor count k must be >= 1, got {self.k}")
+        _check_k(self.k)
         if self.z is not None:
             if self.z < 0.0 or not math.isfinite(self.z):
                 raise DomainError(f"regularization floor z must be >= 0, got {self.z}")
-            if self.z == 0.0 and self.kind in (EstimatorKind.RHO, EstimatorKind.TAU):
+            if self.z == 0.0 and self.kind.floored:
                 raise DomainError("rho/tau estimators require a positive z")
 
     @property
     def effective_z(self) -> float:
         if self.z is not None:
             return self.z
-        if self.kind in (EstimatorKind.RHO, EstimatorKind.TAU):
-            return DEFAULT_Z
-        return 0.0
+        return DEFAULT_Z if self.kind.floored else 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,9 +296,15 @@ def _kl_entropy(n: int, d: int, k: int, eps: np.ndarray) -> float:
     )
 
 
-def _check_knn_shape(n: int, k: int) -> None:
+def _check_k(k) -> None:
+    if not isinstance(k, (int, np.integer)):
+        raise DomainError(f"neighbor count k must be an integer, got {k!r}")
     if k < 1:
         raise DomainError(f"neighbor count k must be >= 1, got {k}")
+
+
+def _check_knn_shape(n: int, k: int) -> None:
+    _check_k(k)
     if n <= k:
         raise InsufficientSamples(f"kNN entropy needs n > k, got n={n}, k={k}")
 

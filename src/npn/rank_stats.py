@@ -67,9 +67,16 @@ def ensure_data_matrix(x) -> np.ndarray:
     """Coerce ``x`` to a finite float64 matrix of shape (n, D).
 
     1-d input is treated as a single column. Raises DomainError on empty,
-    more-than-2-d, or non-finite input.
+    more-than-2-d, non-finite, complex, ragged or non-numeric input.
     """
-    m = np.asarray(x, dtype=np.float64)
+    try:
+        m = np.asarray(x)
+        if m.dtype.kind != "c":
+            m = m.astype(np.float64, copy=False)
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"data matrix must be numeric: {exc}") from exc
+    if m.dtype.kind == "c":
+        raise DomainError("data matrix must be real, got complex values")
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:

@@ -116,12 +116,9 @@ _DEFAULT_SWEEPS = {
 
 
 def _default_estimators(experiment: ExperimentId) -> tuple[EstimatorConfig, ...]:
-    return (
-        EstimatorConfig(EstimatorKind.GAUSSIAN_PLUGIN),
-        EstimatorConfig(EstimatorKind.GAUSS),
-        EstimatorConfig(EstimatorKind.RHO),
-        EstimatorConfig(EstimatorKind.TAU),
-        EstimatorConfig(EstimatorKind.KNN, k=experiment.default_k),
+    return tuple(
+        EstimatorConfig(kind, k=experiment.default_k if kind is EstimatorKind.KNN else DEFAULT_K)
+        for kind in EstimatorKind
     )
 
 

@@ -90,6 +90,12 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             load_csv(path)
 
+    @pytest.mark.parametrize("header", [b"", b"x,y\n"])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, header):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + header + b"1.0,2.0\n3.0,4.0\n")
+        np.testing.assert_array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestSaveCsv:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -263,6 +269,16 @@ class TestEstimateCommand:
     def test_missing_required_flag_is_usage_error(self):
         assert main(["estimate"]) == 1
 
+    def test_infinite_estimate_is_spelled_inf(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("1.0,2.0\n1.0,2.0\n1.0,2.0\n")
+        argv = ["estimate", "--input", str(path), "--estimators", "knn"]
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[4] == "knn,inf,,,,"
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["estimates"][0]["value"] == "inf"
+
 
 class TestSimulateCommand:
     def test_summary_table_layout(self, tmp_path):
@@ -433,6 +449,14 @@ class TestSimulateCommand:
             main(["simulate", "--experiment", "2", "--alpha-grid", "1.5", "--trials", "1"]) == 1
         )
 
+    @pytest.mark.parametrize("grid, message", [
+        ("x", "error: cannot parse grid 'x'\n"),
+        (",", "error: grid must contain at least one value\n"),
+    ])
+    def test_malformed_grid_is_usage_error(self, capsys, grid, message):
+        assert main(["simulate", "--experiment", "1", "--grid", grid]) == 1
+        assert capsys.readouterr().err == message
+
 
 class TestBandableCommand:
     def test_reference_bounds(self, capsys):
@@ -488,6 +512,14 @@ class TestBandableCommand:
         assert out.out == ""
         assert out.err == "error: --verify must be >= 0, got -2\n"
 
+    @pytest.mark.parametrize("verify", ["0", "1"])
+    def test_negative_seed_is_usage_error(self, capsys, verify):
+        argv = ["bandable", "--c", "0.2", "--d", "5", "--verify", verify, "--seed", "-1"]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("c", ["0.0", "1.0", "1.2", "-0.1"])
     def test_c_outside_open_interval_is_usage_error(self, c):
         assert main(["bandable", "--c", c, "--d", "5"]) == 1
@@ -536,3 +568,16 @@ def test_run_experiments_script_writes_every_table(tmp_path, monkeypatch, capsys
     ]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     assert "; k=20;" in (tmp_path / "e3_outliers.csv").read_text().splitlines()[2]
+
+
+def test_package_exports_every_module_list():
+    import npn
+    from npn import errors, matrix_core, rank_stats, simulation
+
+    modules = (errors, matrix_core, rank_stats, estimators, simulation)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(npn, name) is getattr(module, name), name
+    listed = ["__version__"] + [name for module in modules for name in module.__all__]
+    assert len(set(npn.__all__)) == len(npn.__all__)
+    assert set(npn.__all__) == set(listed)

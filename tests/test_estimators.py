@@ -229,6 +229,15 @@ class TestEstimatorConfig:
         with pytest.raises(DomainError):
             EstimatorConfig(EstimatorKind.KNN, k=0)
 
+    def test_rejects_fractional_neighbor_count(self):
+        with pytest.raises(DomainError):
+            EstimatorConfig(EstimatorKind.KNN, k=2.5)
+
+    def test_floored_kinds(self):
+        assert [kind for kind in EstimatorKind if kind.floored] == [
+            EstimatorKind.RHO, EstimatorKind.TAU
+        ]
+
     def test_rejects_negative_floor(self):
         with pytest.raises(DomainError):
             EstimatorConfig(EstimatorKind.RHO, z=-1.0)
@@ -249,6 +258,11 @@ class TestEstimatorConfig:
 
 
 class TestEstimateMi:
+    def test_rejects_complex_data(self):
+        x = np.random.default_rng(7).standard_normal((60, 3))
+        with pytest.raises(DomainError):
+            estimate_mi(x + 1j, EstimatorConfig(EstimatorKind.RHO))
+
     def test_reports_its_estimator(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((60, 3))
@@ -387,6 +401,12 @@ class TestKnnEntropy:
         p = np.array([0.0, 1.0, 2.0, 5.0, 5.0, 5.0])
         assert knn_entropy(p, k=3) == math.inf
 
+    def test_repeated_row_in_two_dimensions(self):
+        x = np.random.default_rng(22).standard_normal((20, 2))
+        x[1] = x[0]
+        assert knn_entropy(x, k=2) == math.inf
+        assert math.isfinite(knn_entropy(x, k=3))
+
     def test_uniform_entropy_near_zero(self):
         rng = np.random.default_rng(15)
         vals = [knn_entropy(rng.uniform(0, 1, 5000), k=2) for _ in range(30)]
@@ -507,6 +527,10 @@ class TestMiKnn:
     def test_requires_enough_samples(self):
         with pytest.raises(InsufficientSamples):
             mi_knn(np.zeros((2, 2)), k=2)
+
+    def test_rejects_fractional_neighbor_count(self):
+        with pytest.raises(DomainError):
+            mi_knn(np.random.default_rng(23).standard_normal((20, 2)), 1.5)
 
 
 class TestEntropyNpn:

@@ -75,6 +75,16 @@ class TestEnsureDataMatrix:
         with pytest.raises(DomainError):
             ensure_data_matrix(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("x", [[["a", "b"]], [[1.0, 2.0], [3.0]], np.ones((3, 2)) + 1j],
+                             ids=["strings", "ragged", "complex"])
+    def test_rejects_non_real_input(self, x):
+        with pytest.raises(DomainError):
+            ensure_data_matrix(x)
+
+    def test_float64_input_is_not_copied(self):
+        x = np.ones((4, 3))
+        assert ensure_data_matrix(x) is x
+
 
 class TestComputeRanks:
     def test_distinct_values(self):
@@ -210,6 +220,9 @@ class TestSigmaG:
 
 
 class TestSpearman:
+    def test_one_column(self):
+        np.testing.assert_array_equal(spearman_matrix(np.arange(5.0)), [[1.0]])
+
     def test_identical_columns(self):
         rng = np.random.default_rng(14)
         col = rng.standard_normal(30)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from npn.errors import DomainError, NotPositiveDefinite
+from npn import simulation
+from npn.errors import DegenerateDraw, DomainError, NotPositiveDefinite
 from npn.estimators import EstimatorConfig, EstimatorKind
 from npn.matrix_core import as_correlation, bandable_eigen_bounds, is_bandable
 from npn.rank_stats import compute_ranks
@@ -205,6 +206,31 @@ def rho_only():
 
 
 class TestRunExperiment:
+    PLUGIN_AND_RHO = (EstimatorConfig(EstimatorKind.GAUSSIAN_PLUGIN),
+                      EstimatorConfig(EstimatorKind.RHO))
+
+    def test_failing_estimator_is_recorded_non_finite(self):
+        # n = 4 <= D = 8 leaves the plug-in's scatter singular
+        spec = ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=3, d=8, sweep=(4.0, 32.0),
+                              estimators=self.PLUGIN_AND_RHO)
+        cells = {(s.sweep_value, s.estimator): s for s in run_experiment(spec)}
+        plugin = cells[(4.0, EstimatorKind.GAUSSIAN_PLUGIN)]
+        assert plugin.mse is None
+        assert plugin.finite_fraction == 0.0
+        assert cells[(4.0, EstimatorKind.RHO)].finite_fraction == 1.0
+        assert cells[(32.0, EstimatorKind.GAUSSIAN_PLUGIN)].finite_fraction == 1.0
+
+    def test_failed_draw_marks_every_cell_non_finite(self, monkeypatch):
+        def fail(d, rng):
+            raise DegenerateDraw("no draw")
+
+        monkeypatch.setattr(simulation, "sample_correlation_wishart", fail)
+        spec = ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=2, d=3, sweep=(16.0,),
+                              estimators=self.PLUGIN_AND_RHO)
+        out = run_experiment(spec)
+        assert len(out) == 2
+        assert all(s.mse is None and s.finite_fraction == 0.0 for s in out)
+
     def test_summary_grid_is_sweep_major(self):
         spec = ExperimentSpec(
             ExperimentId.SIGMA,
