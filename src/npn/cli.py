@@ -117,11 +117,17 @@ _ECHO_FIELDS = {
 # CSV dataset I/O
 
 
-def _parse_cell(token: str) -> float | None:
-    try:
-        return float(token)
-    except ValueError:
-        return None
+def _check_cells(line: str, lineno: int) -> None:
+    """Raise the error of ``line``'s first cell, in column order, that is not a finite number."""
+    for col, token in enumerate((t.strip() for t in line.split(",")), start=1):
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"row {lineno}, column {col}: cannot parse {token!r} as a number",
+                             row=lineno, column=col) from None
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"row {lineno}, column {col}: non-finite value {token!r}",
+                                 row=lineno, column=col)
 
 
 def load_csv(path) -> np.ndarray:
@@ -143,40 +149,27 @@ def load_csv(path) -> np.ndarray:
     EmptyFile
         No data rows remain.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
     rows: list[list[float]] = []
-    width = None
-    first_content_row = True
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    skipped_header = False
+    # Neither the text nor its lines are named, so each is freed once used.
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         if not line.strip():
             continue
-        tokens = [t.strip() for t in line.split(",")]
-        parsed = [_parse_cell(t) for t in tokens]
-        if first_content_row:
-            first_content_row = False
-            if any(v is None for v in parsed):
-                continue
-        for col, value in enumerate(parsed, start=1):
-            if value is None:
-                raise ParseError(
-                    f"row {lineno}, column {col}: cannot parse {tokens[col - 1]!r} as a number",
-                    row=lineno,
-                    column=col,
-                )
-            if not math.isfinite(value):
-                raise NonFiniteValue(
-                    f"row {lineno}, column {col}: non-finite value {tokens[col - 1]!r}",
-                    row=lineno,
-                    column=col,
-                )
-        if width is None:
-            width = len(parsed)
-        elif len(parsed) != width:
-            raise ParseError(
-                f"row {lineno}: expected {width} columns, found {len(parsed)}",
-                row=lineno,
-            )
-        rows.append([v for v in parsed if v is not None])
+        try:
+            # str.strip also removes the separators \x1c-\x1f, which float rejects.
+            row = [float(t.strip()) for t in line.split(",")]
+        except ValueError:
+            if rows or skipped_header:
+                _check_cells(line, lineno)
+            skipped_header = True
+            continue
+        # A finite row can sum past the float range; the scan then finds no bad cell.
+        if not math.isfinite(sum(row)):
+            _check_cells(line, lineno)
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(f"row {lineno}: expected {len(rows[0])} columns, found {len(row)}",
+                             row=lineno)
+        rows.append(row)
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
@@ -184,12 +177,8 @@ def load_csv(path) -> np.ndarray:
 
 def save_csv(x, path, header: tuple[str, ...] | None = None) -> None:
     """Write a data matrix as CSV with full round-trip float precision."""
-    m = ensure_data_matrix(x)
-    lines = []
-    if header:
-        lines.append(",".join(header))
-    for row in m:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines = [",".join(header)] if header else []
+    lines += [",".join(map(repr, row)) for row in ensure_data_matrix(x).tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -335,7 +324,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         estimators=tuple(_estimator_config(kind, args) for kind in args.estimators),
         transform=MarginalTransform(args.transform),
         seed=args.seed,
-    )
+    ).resolved()
+    # Echo the D and sweep that run, not the options as given.
+    args.d, args.grid = spec.d, spec.sweep
     rows = [
         {
             "experiment": experiment.value,

@@ -213,8 +213,8 @@ def mi_gaussian_plugin(x) -> MiEstimate:
     Raises
     ------
     SingularScatter
-        If n <= D, a column is constant, or the empirical covariance is
-        numerically singular.
+        If n <= D, a column is constant, or the empirical covariance
+        overflows or is numerically singular.
     """
     m = ensure_data_matrix(x)
     n, d = m.shape
@@ -222,9 +222,14 @@ def mi_gaussian_plugin(x) -> MiEstimate:
         raise SingularScatter(f"Gaussian plug-in needs n > D, got n={n}, D={d}")
     if d == 1:
         return MiEstimate(value=0.0, estimator=EstimatorKind.GAUSSIAN_PLUGIN)
-    if np.any(np.std(m, axis=0) == 0.0):
+    # Compared, not subtracted: np.std underflows to 0 at tiny scales and
+    # np.ptp overflows at huge ones.
+    if np.any(np.min(m, axis=0) == np.max(m, axis=0)):
         raise SingularScatter("constant column makes the scatter singular")
-    cov = np.cov(m, rowvar=False, bias=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.cov(m, rowvar=False, bias=True)
+    if not np.all(np.isfinite(cov)):
+        raise SingularScatter("empirical covariance overflows the float range")
     try:
         logdet = cholesky_logdet(cov)
     except NotPositiveDefinite as exc:
@@ -297,7 +302,7 @@ def _kl_entropy(n: int, d: int, k: int, eps: np.ndarray) -> float:
 
 
 def _check_k(k) -> None:
-    if not isinstance(k, (int, np.integer)):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise DomainError(f"neighbor count k must be an integer, got {k!r}")
     if k < 1:
         raise DomainError(f"neighbor count k must be >= 1, got {k}")

@@ -66,17 +66,20 @@ class TiePolicy(enum.Enum):
 def ensure_data_matrix(x) -> np.ndarray:
     """Coerce ``x`` to a finite float64 matrix of shape (n, D).
 
-    1-d input is treated as a single column. Raises DomainError on empty,
-    more-than-2-d, non-finite, complex, ragged or non-numeric input.
+    1-d input is treated as a single column, and boolean input is read as
+    0/1. Raises DomainError on empty, more-than-2-d, non-finite, complex,
+    ragged, text or otherwise non-numeric input.
     """
     try:
         m = np.asarray(x)
-        if m.dtype.kind != "c":
+        if m.dtype.kind not in "cUS":
             m = m.astype(np.float64, copy=False)
     except (ValueError, TypeError) as exc:
         raise DomainError(f"data matrix must be numeric: {exc}") from exc
     if m.dtype.kind == "c":
         raise DomainError("data matrix must be real, got complex values")
+    if m.dtype.kind in "US":
+        raise DomainError("data matrix must be numeric, got text")
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,72 @@ class TestLoadCsv:
         np.testing.assert_array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
+    @pytest.mark.parametrize(("row", "error", "column"), [
+        ("1.0,nan,x", NonFiniteValue, 2),
+        ("1.0,x,nan", ParseError, 2),
+        ("inf,x", NonFiniteValue, 1),
+    ])
+    def test_cell_errors_come_in_column_order(self, tmp_path, row, error, column):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1.0,2.0,3.0\n{row}\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert type(info.value) is error
+        assert (info.value.row, info.value.column) == (2, column)
+
+    def test_non_finite_first_row_is_data(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n1.0,nan\n2.0,3.0\n")
+        with pytest.raises(NonFiniteValue) as info:
+            load_csv(path)
+        assert (info.value.row, info.value.column) == (2, 2)
+        path.write_text("nan,1.0\n2.0,3.0\n")
+        with pytest.raises(NonFiniteValue) as info:
+            load_csv(path)
+        assert (info.value.row, info.value.column) == (1, 1)
+
+    def test_only_the_first_non_blank_line_may_be_a_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n\nx,y\nu,v\n1.0,2.0\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert str(info.value) == "row 4, column 1: cannot parse 'u' as a number"
+        path.write_text("1.0,2.0\nx,y\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert (info.value.row, info.value.column) == (2, 1)
+
+    def test_padded_cells_parse_and_errors_show_the_stripped_token(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\t1.0\t,\u20032.0\n\x1f3.0,4.0\x1f\n")
+        np.testing.assert_array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("1.0,2.0\n3.0,\x1f\u2003 x\t\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert str(info.value) == "row 2, column 2: cannot parse 'x' as a number"
+        path.write_text("1.0,2.0\n \x1fnan\t,4.0\n")
+        with pytest.raises(NonFiniteValue) as info:
+            load_csv(path)
+        assert str(info.value) == "row 2, column 1: non-finite value 'nan'"
+
+    def test_row_summing_past_the_float_range_is_data(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1e308,1e308\n-1e308,1e308\n")
+        np.testing.assert_array_equal(load_csv(path), [[1e308, 1e308], [-1e308, 1e308]])
+
+    def test_peak_memory_stays_below_three_and_a_half_file_sizes(self, tmp_path):
+        path = tmp_path / "m.csv"
+        np.savetxt(path, np.random.default_rng(3).standard_normal((2000, 25)), fmt="%.17g",
+                   delimiter=",")
+        tracemalloc.start()
+        try:
+            load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * path.stat().st_size
+
+
 class TestSaveCsv:
     def test_round_trip_is_bit_exact(self, tmp_path):
         x = np.array(
@@ -175,6 +242,17 @@ class TestEstimateCommand:
         )
         assert code == 3
         assert doc["errors"][0]["estimator"] == "gaussian"
+        assert doc["errors"][0]["error"] == "SingularScatter"
+        assert [e["estimator"] for e in doc["estimates"]] == ["rho"]
+
+    def test_overflowing_plugin_sets_numeric_exit(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        save_csv(np.random.default_rng(1).standard_normal((50, 3)) * 1e160, path)
+        code, doc = run_json(
+            capsys,
+            ["estimate", "--input", str(path), "--estimators", "gaussian,rho"],
+        )
+        assert code == 3
         assert doc["errors"][0]["error"] == "SingularScatter"
         assert [e["estimator"] for e in doc["estimates"]] == ["rho"]
 
@@ -420,11 +498,18 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(("experiment", "k"), [(1, 2), (2, 2), (3, 20), (4, 2)])
     def test_config_line_at_defaults(self, capsys, monkeypatch, experiment, k):
+        # The echo is the resolved spec: experiment 4 runs at D = 2.
+        d, grid = {
+            1: (25, "32.0,64.0,128.0,256.0,512.0,1024.0"),
+            2: (25, "0.0,0.25,0.5,0.75,1.0"),
+            3: (25, "0.0,0.1,0.2,0.3"),
+            4: (2, "0.0,0.3,0.6,0.9,0.99,0.999"),
+        }[experiment]
         specs = []
         monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
         assert main(["simulate", "--experiment", str(experiment)]) == 0
         assert capsys.readouterr().out.splitlines()[2] == (
-            f"# config: experiment={experiment}; trials=200; n=100; d=25; grid=; "
+            f"# config: experiment={experiment}; trials=200; n=100; d={d}; grid={grid}; "
             "estimators=gaussian,gauss,rho,tau,knn; transform=exp; z=0.001; "
             f"k={k}; ties=literal; seed=0; format=csv"
         )
@@ -435,7 +520,7 @@ class TestSimulateCommand:
         code, doc = run_json(capsys, ["simulate", "--experiment", "3", "--format", "json"])
         assert code == 0
         assert list(doc["config"].items()) == [
-            ("experiment", 3), ("trials", 200), ("n", 100), ("d", 25), ("grid", ""),
+            ("experiment", 3), ("trials", 200), ("n", 100), ("d", 25), ("grid", "0.0,0.1,0.2,0.3"),
             ("estimators", "gaussian,gauss,rho,tau,knn"), ("transform", "exp"), ("z", 0.001),
             ("k", 20), ("ties", "literal"), ("seed", 0), ("format", "json"),
         ]

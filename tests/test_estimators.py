@@ -207,6 +207,27 @@ class TestMiGaussianPlugin:
         with pytest.raises(SingularScatter):
             mi_gaussian_plugin(np.column_stack([col, col]))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_covariance_is_singular_scatter(self, scale):
+        x = np.random.default_rng(4).standard_normal((50, 3)) * scale
+        with pytest.raises(SingularScatter, match="overflows"):
+            mi_gaussian_plugin(x)
+
+    def test_tiny_scale_is_not_a_constant_column(self):
+        # np.std underflows to 0 here; the columns still take 50 values.
+        x = np.random.default_rng(4).standard_normal((50, 3)) * 1e-300
+        with pytest.raises(SingularScatter, match="singular:"):
+            mi_gaussian_plugin(x)
+
+    def test_moderate_scale_keeps_the_ordinary_value(self):
+        x = np.random.default_rng(4).standard_normal((50, 3))
+        n, d = x.shape
+        value = -0.5 * (np.linalg.slogdet(np.cov(x, rowvar=False, bias=True))[1]
+                        - plugin_logdet_bias(n, d))
+        assert mi_gaussian_plugin(x).value == pytest.approx(value, rel=1e-12)
+        assert mi_gaussian_plugin(x * 2.0**400).value == pytest.approx(
+            value - d * 400 * math.log(2.0), rel=1e-12)
+
     def test_mean_near_zero_under_independence(self):
         rng = np.random.default_rng(5)
         n, d, trials = 50, 5, 3000
@@ -232,6 +253,11 @@ class TestEstimatorConfig:
     def test_rejects_fractional_neighbor_count(self):
         with pytest.raises(DomainError):
             EstimatorConfig(EstimatorKind.KNN, k=2.5)
+
+    @pytest.mark.parametrize("k", [True, np.bool_(True)])
+    def test_rejects_boolean_neighbor_count(self, k):
+        with pytest.raises(DomainError):
+            EstimatorConfig(EstimatorKind.KNN, k=k)
 
     def test_floored_kinds(self):
         assert [kind for kind in EstimatorKind if kind.floored] == [

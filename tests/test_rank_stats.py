@@ -81,6 +81,17 @@ class TestEnsureDataMatrix:
         with pytest.raises(DomainError):
             ensure_data_matrix(x)
 
+    @pytest.mark.parametrize("x", [[["1.5", "2"]], np.array([[b"1", b"2"]])],
+                             ids=["str", "bytes"])
+    def test_rejects_numeric_text(self, x):
+        with pytest.raises(DomainError):
+            ensure_data_matrix(x)
+
+    def test_boolean_input_reads_as_zero_one(self):
+        out = ensure_data_matrix(np.array([[True, False], [False, True]]))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 1.0]])
+
     def test_float64_input_is_not_copied(self):
         x = np.ones((4, 3))
         assert ensure_data_matrix(x) is x
