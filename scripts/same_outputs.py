@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Check that two checkouts give bit-identical benchmark outputs.
 
-    python3 scripts/same_outputs.py PARENT CHANGE --seed S [--workload W ...]
+    python3 scripts/same_outputs.py PARENT CHANGE --seed S [S ...] [--workload W ...]
 
-For every workload of ``npnbench/workloads.py`` (or those named), each
-checkout runs the workload's set-up and body once, in a fresh process
+For every seed and every workload of ``npnbench/workloads.py`` (or those
+named), each checkout runs the workload's set-up and body once, in a fresh process
 started with the interpreter and environment of its ``BENCHMARK.json``
 command and with its own ``src`` and ``npnbench`` on the path. The outputs
 are then compared line by line: Monte Carlo cells field by field, every
 float written with ``float.hex``, and the ``npn estimate`` document as text
 with its work directory masked. Each differing line is printed with the
 largest absolute and relative difference between the numbers of its two
-sides. Exits 1 on any difference, 0 when every workload matches.
+sides. Exits 1 on any difference, 0 when every workload matches at every
+seed.
 """
 
 from __future__ import annotations
@@ -89,29 +90,30 @@ def run_side(checkout: Path, workload: str, seed: int) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="*", type=Path, help="PARENT CHANGE")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--child", choices=WORKLOADS, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child, args.seed, args.work)
+        child(args.child, args.seed[0], args.work)
         return 0
     if len(args.checkouts) != 2:
         parser.error("give two checkouts: PARENT CHANGE")
 
     differ = False
-    for workload in args.workload or WORKLOADS:
-        parent, change = (run_side(c, workload, args.seed) for c in args.checkouts)
-        diffs = [i for i in range(max(len(parent), len(change)))
-                 if parent[i:i + 1] != change[i:i + 1]]
-        print(f"{workload} seed {args.seed}: {len(parent)} lines, {len(diffs)} differ")
-        for n, i in enumerate(diffs):
-            old, new = parent[i:i + 1], change[i:i + 1]
-            print(f"  line {i}: {largest_difference(old, new)}")
-            if n < 10:
-                print(f"    parent {old}\n    change {new}")
-        differ = differ or bool(diffs)
+    for seed in args.seed:
+        for workload in args.workload or WORKLOADS:
+            parent, change = (run_side(c, workload, seed) for c in args.checkouts)
+            diffs = [i for i in range(max(len(parent), len(change)))
+                     if parent[i:i + 1] != change[i:i + 1]]
+            print(f"{workload} seed {seed}: {len(parent)} lines, {len(diffs)} differ")
+            for n, i in enumerate(diffs):
+                old, new = parent[i:i + 1], change[i:i + 1]
+                print(f"  line {i}: {largest_difference(old, new)}")
+                if n < 10:
+                    print(f"    parent {old}\n    change {new}")
+            differ = differ or bool(diffs)
     return 1 if differ else 0
 
 

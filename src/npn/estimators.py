@@ -43,6 +43,7 @@ from .errors import (
 from .matrix_core import as_correlation, as_symmetric, cholesky_logdet, sym_eigen
 from .rank_stats import (
     TiePolicy,
+    _sorted_rows,
     ensure_data_matrix,
     kendall_matrix,
     latent_from_rank_corr,
@@ -165,10 +166,11 @@ def mi_from_latent(shat, z: float) -> MiEstimate:
     matrices with eigenvalues >= z (clamping from the eigendecomposition)
     and the returned value is -1/2 times the projected log-determinant.
     With ``z == 0`` no projection is applied and a non-positive smallest
-    eigenvalue yields an infinite estimate.
+    eigenvalue yields an infinite estimate. A negative or non-finite
+    ``z`` raises DomainError.
     """
     mat = as_symmetric(shat)
-    if z < 0.0:
+    if z < 0.0 or not math.isfinite(z):
         raise DomainError(f"regularization floor z must be >= 0, got {z}")
     eig = sym_eigen(mat)
     w = eig.eigenvalues
@@ -361,27 +363,35 @@ def _marginal_entropies(m: np.ndarray, k: int) -> list[float]:
     the k + 1 windows of that length that contain it. The reach is an
     absolute difference. A KD-tree's distance sqrt(d * d) is the same
     float wherever d * d neither underflows nor overflows, and the reach
-    stays exact at scales where it would.
+    stays exact at scales where it would. The columns are the rows of one
+    array, and their Kozachenko-Leonenko sums one reduction.
     """
     n, d = m.shape
     _check_knn_shape(n, k)
-    order = np.argsort(m, axis=0)
-    s = np.take_along_axis(m, order, axis=0)
+    order, s = _sorted_rows(m)
     # A run of max(k, 2) equal sorted values is the tree path's duplicate rule.
-    dup = np.any(s[max(k, 2) - 1:] == s[: n - max(k, 2) + 1], axis=0)
-    pad = np.full((k, d), np.inf)
-    padded = np.concatenate((-pad, s, pad))
-    reach = np.full((n, d), np.inf)
+    dup = np.any(s[:, max(k, 2) - 1:] == s[:, : n - max(k, 2) + 1], axis=1)
+    reach = np.full((d, n), np.inf)
+    below, above = np.empty((d, n - k)), np.empty((d, n - k))
     # A difference past the float range is inf, as a tree's distance is.
     with np.errstate(over="ignore"):
         for j in range(k + 1):
-            # Window of sorted positions [p - j, p - j + k] around position p.
-            below = s - padded[k - j:k - j + n]
-            above = padded[2 * k - j:2 * k - j + n] - s
-            np.minimum(reach, np.maximum(below, above), out=reach)
+            # Sorted positions p = j .. n - k + j - 1 have the window [p - j, p - j + k].
+            at = slice(j, n - k + j)
+            np.subtract(s[:, at], s[:, :n - k], out=below)
+            np.subtract(s[:, k:], s[:, at], out=above)
+            np.maximum(below, above, out=below)
+            np.minimum(reach[:, at], below, out=reach[:, at])
+    # Freed first, so that eps and its logarithm add nothing to the peak.
+    del s, below, above
     eps = np.empty((d, n))
-    eps[np.arange(d)[:, None], order.T] = reach.T
-    return [math.inf if dup[j] else _kl_entropy(n, 1, k, eps[j]) for j in range(d)]
+    np.put_along_axis(eps, order, reach, axis=1)
+    del order, reach
+    # A zero distance needs k + 1 equal values, which dup already flags.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = np.sum(np.log(eps, out=eps), axis=1)
+    h = digamma(n) - digamma(k) + _unit_ball_log_volume(1) + (1 / n) * sums
+    return np.where(dup, np.inf, h).tolist()
 
 
 def mi_knn(x, k: int = DEFAULT_K) -> MiEstimate:

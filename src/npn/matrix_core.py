@@ -16,6 +16,7 @@ accumulation routinely produces asymmetry at the 1e-16 level.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +51,29 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _real_array(a, what: str) -> np.ndarray:
+    """``a`` as a float64 array, without a copy when it already is one.
+
+    Boolean input reads as 0/1. Raises DomainError, naming ``what``, for
+    complex values, text (an object array holding str or bytes included)
+    and ragged or otherwise non-numeric input.
+    """
+    try:
+        m = np.asarray(a)
+        text = m.dtype.kind in "US" or (
+            m.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in m.flat)
+        )
+        if not text and m.dtype.kind != "c":
+            m = m.astype(np.float64, copy=False)
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"{what} must be numeric: {exc}") from exc
+    if text:
+        raise DomainError(f"{what} must be numeric, got text")
+    if m.dtype.kind == "c":
+        raise DomainError(f"{what} must be real, got complex values")
+    return m
+
+
 def as_symmetric(a) -> np.ndarray:
     """Coerce ``a`` to a square float64 array and symmetrize it.
 
@@ -66,10 +90,10 @@ def as_symmetric(a) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``a`` is not a square 2-d array with D >= 1, or contains
-        non-finite entries.
+        If ``a`` is not a square 2-d array of real numbers with D >= 1,
+        or contains non-finite entries.
     """
-    m = np.array(a, dtype=np.float64)
+    m = _real_array(a, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -180,19 +204,23 @@ def project_to_cone(a, z: float) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``z <= 0``.
+        If ``z`` is not positive and finite, or the projection overflows.
     NoConvergence
         Propagated from :func:`sym_eigen`.
     """
-    if not z > 0.0:
-        raise DomainError(f"eigenvalue floor z must be positive, got {z}")
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"eigenvalue floor z must be positive and finite, got {z}")
     m = as_symmetric(a)
     w, q = sym_eigen(m)
     if w[-1] >= z:
         return m
     clamped = np.maximum(w, z)
-    out = (q * clamped) @ q.T
-    return (out + out.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (q * clamped) @ q.T
+        out = (out + out.T) / 2.0
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"projection at floor z={z} overflows the float range")
+    return out
 
 
 def bandable_eigen_bounds(c: float, d: int) -> tuple[float, float]:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegenerateColumn, DomainError
-from .matrix_core import as_symmetric
+from .matrix_core import _real_array, as_symmetric
 
 __all__ = [
     "TiePolicy",
@@ -70,16 +70,7 @@ def ensure_data_matrix(x) -> np.ndarray:
     0/1. Raises DomainError on empty, more-than-2-d, non-finite, complex,
     ragged, text or otherwise non-numeric input.
     """
-    try:
-        m = np.asarray(x)
-        if m.dtype.kind not in "cUS":
-            m = m.astype(np.float64, copy=False)
-    except (ValueError, TypeError) as exc:
-        raise DomainError(f"data matrix must be numeric: {exc}") from exc
-    if m.dtype.kind == "c":
-        raise DomainError("data matrix must be real, got complex values")
-    if m.dtype.kind in "US":
-        raise DomainError("data matrix must be numeric, got text")
+    m = _real_array(x, "data matrix")
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
@@ -99,21 +90,55 @@ def compute_ranks(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     entries distinct are permutations of {1, ..., n} under either policy.
     """
     m = ensure_data_matrix(x)
-    n, d = m.shape
-    if policy is TiePolicy.LITERAL:
-        out = np.empty((n, d), dtype=np.int64)
-    else:
-        out = np.empty((n, d), dtype=np.float64)
-    for j in range(d):
-        col = m[:, j]
-        srt = np.sort(col)
-        upper = np.searchsorted(srt, col, side="right")
-        if policy is TiePolicy.LITERAL:
-            out[:, j] = upper
-        else:
-            lower = np.searchsorted(srt, col, side="left")
-            out[:, j] = (lower + upper + 1) / 2.0
+    order, ranks = _sorted_ranks(m, policy)
+    out = np.empty(m.shape, np.int64 if policy is TiePolicy.LITERAL else np.float64)
+    # Scattered through the transposed view, so the result is C-contiguous.
+    np.put_along_axis(out.T, order, ranks, axis=1)
     return out
+
+
+def _sorted_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort order and sorted values of every column of ``m``, as (D, n) rows.
+
+    One default (unstable) argsort over the rows of ``m.T``: tied values
+    share every rank and every neighbor distance, so their order is moot.
+    """
+    rows = m.T
+    order = np.argsort(rows, axis=1)
+    return order, np.take_along_axis(rows, order, axis=1)
+
+
+def _sorted_ranks(m: np.ndarray, policy: TiePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Sort order of every column of ``m`` and the ranks in that order, as (D, n) rows.
+
+    A literal rank is one past the sorted index of the last member of its
+    run of ties, and a midrank is (start + end + 1) / 2 with ``start`` the
+    run's first index and ``end`` the literal rank. Literal ranks are int32
+    up to n = 2^31 - 1 and midranks float64; each is an exact integer sum
+    before the halving, so both equal the sort-and-search ranks bit for bit.
+    """
+    order, s = _sorted_rows(m)
+    d, n = s.shape
+    differs = s[:, 1:] != s[:, :-1]
+    del s
+    pos = np.arange(1, n + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    # Sorted position p ends its run where the next value differs.
+    ranks = np.full((d, n), n, pos.dtype)
+    np.copyto(ranks[:, :-1], pos[:-1], where=differs)
+    flipped = ranks[:, ::-1]
+    np.minimum.accumulate(flipped, axis=1, out=flipped)
+    if policy is TiePolicy.LITERAL:
+        return order, ranks
+    mid = np.zeros((d, n))
+    # Sorted position p starts its run where the previous value differs.
+    np.copyto(mid[:, 1:], pos[:-1], where=differs)
+    del differs
+    np.maximum.accumulate(mid, axis=1, out=mid)
+    mid += ranks
+    del ranks
+    mid += 1.0
+    mid /= 2.0
+    return order, mid
 
 
 def probit(p):
@@ -266,11 +291,12 @@ def _rank_keys(x) -> tuple[np.ndarray, int]:
     The keys of the composite sort and of the merge levels fit in
     2 vb + 1 bits, so they are int32 up to n = 2^15 and int64 beyond.
     """
-    ranks = compute_ranks(x)
-    n, d = ranks.shape
+    order, ranks = _sorted_ranks(ensure_data_matrix(x), TiePolicy.LITERAL)
+    d, n = ranks.shape
     vb = (n - 1).bit_length()
+    ranks -= 1
     keys = np.empty((d, n), np.int32 if 2 * vb + 1 < 32 else np.int64)
-    np.subtract(ranks.T, 1, out=keys, casting="same_kind")
+    np.put_along_axis(keys, order, ranks, axis=1)
     return keys, vb
 
 

@@ -141,6 +141,12 @@ class TestMiFromLatent:
         with pytest.raises(DomainError):
             mi_from_latent(np.eye(2), -0.1)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_floor(self, z):
+        # nan gave value nan, and inf gave -inf with every eigenvalue clamped
+        with pytest.raises(DomainError, match="regularization floor z must be >= 0"):
+            mi_from_latent(np.eye(3), z)
+
 
 class TestPluginBias:
     def test_frozen_reference_values(self):
@@ -516,6 +522,26 @@ class TestMarginalPass:
             x[:, 2] = np.exp(3.0 * x[:, 2])
             x[:, 3] = np.round(4.0 * x[:, 3]) / 3.0
             assert _marginal_entropies(x, k) == [tree_entropy(x[:, j]) for j in range(4)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_kl_entropy_of_every_column(self, k):
+        # the one reduction over all columns against one _kl_entropy per column
+        def column_entropy(col):
+            srt = np.sort(col)
+            if np.any(srt[max(k, 2) - 1:] == srt[: col.size - max(k, 2) + 1]):
+                return math.inf
+            gaps = np.abs(col[:, None] - col[None, :])
+            return _kl_entropy(col.size, 1, k, np.sort(gaps, axis=1)[:, k])
+
+        rng = np.random.default_rng(50 + k)
+        for trial in range(30):
+            n = k + 1 if trial < 6 else int(rng.integers(k + 2, 200))
+            x = rng.standard_normal((n, 5))
+            x[:, 1] = np.round(x[:, 1], 1)
+            x[:, 2] = np.exp(3.0 * x[:, 2])
+            x[:, 3] = np.round(4.0 * x[:, 3]) / 3.0
+            x[:, 4] *= 1e300
+            assert _marginal_entropies(x, k) == [column_entropy(x[:, j]) for j in range(5)]
 
     def test_mi_knn_is_the_tree_decomposition(self):
         rng = np.random.default_rng(34)

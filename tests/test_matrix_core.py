@@ -126,6 +126,16 @@ class TestProjectToCone:
         with pytest.raises(DomainError):
             project_to_cone(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_floor(self, z):
+        # inf gave a matrix of NaN
+        with pytest.raises(DomainError, match="positive and finite"):
+            project_to_cone(np.eye(2), z)
+
+    def test_overflowing_projection_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            project_to_cone(np.eye(2), 1.5e308)
+
     def test_fixed_point_when_already_inside(self):
         a = np.array([[1.0, 0.2], [0.2, 1.0]])
         np.testing.assert_array_equal(project_to_cone(a, 1e-3), a)

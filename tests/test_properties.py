@@ -2,7 +2,9 @@
 
 Inputs are small matrices (n 0..5, D 0..4, sometimes 1-d) of every dtype a
 caller might pass: float, int, bool, complex, text and object, with NaN and
-infinities mixed in and magnitudes scaled to 1e300 and 1e-300. A library
+infinities mixed in and magnitudes scaled to 1e300 and 1e-300, and the
+eigenvalue floors z of ``mi_from_latent`` and ``project_to_cone`` are any
+float, NaN or an infinity. A library
 call may return or raise an ``NpnError``; anything else (a NumPy or SciPy
 exception, a RuntimeWarning, which the test settings turn into an error,
 or a NaN result) fails. The finite cases are also written as CSV files and
@@ -27,9 +29,11 @@ from npn.estimators import (
     entropy_npn,
     estimate_mi,
     knn_entropy,
+    mi_from_latent,
     mi_gaussian_plugin,
     mi_knn,
 )
+from npn.matrix_core import project_to_cone
 from npn.rank_stats import (
     TiePolicy,
     compute_ranks,
@@ -45,6 +49,10 @@ SCALES = (1.0, 1e300, -1e300, 1e-300)
 CELLS = st.one_of(
     st.integers(-3, 3).map(float),
     st.floats(-3.0, 3.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+FLOORS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 
@@ -77,7 +85,7 @@ def data(draw):
     return x, finite
 
 
-def _entry_points(policy: TiePolicy, k: int):
+def _entry_points(policy: TiePolicy, k: int, z: float):
     calls = [(f"estimate_mi {kind.value}",
               lambda x, kind=kind: estimate_mi(x, EstimatorConfig(kind, k=k, tie_policy=policy)))
              for kind in EstimatorKind]
@@ -91,6 +99,8 @@ def _entry_points(policy: TiePolicy, k: int):
         ("mi_knn", lambda x: mi_knn(x, k)),
         ("entropy_npn", lambda x: entropy_npn(x, k=k)),
         ("mi_gaussian_plugin", mi_gaussian_plugin),
+        ("mi_from_latent", lambda x: mi_from_latent(x, z)),
+        ("project_to_cone", lambda x: project_to_cone(x, z)),
         ("ensure_data_matrix", ensure_data_matrix),
     ]
 
@@ -101,10 +111,10 @@ def _has_nan(out) -> bool:
 
 
 @settings(max_examples=300, deadline=None)
-@given(data(), st.sampled_from(TiePolicy), st.integers(1, 3))
-def test_every_entry_point_returns_or_raises_npn_error(case, policy, k):
+@given(data(), st.sampled_from(TiePolicy), st.integers(1, 3), FLOORS)
+def test_every_entry_point_returns_or_raises_npn_error(case, policy, k, z):
     x, _ = case
-    for name, call in _entry_points(policy, k):
+    for name, call in _entry_points(policy, k, z):
         try:
             out = call(x)
         except NpnError:

@@ -49,6 +49,31 @@ def brute_force_ranks(col):
     return np.array([np.sum(col <= v) for v in col], dtype=np.int64)
 
 
+def search_ranks(x, policy):
+    """The ranks of one sort and binary search per column: the kernel's oracle."""
+    m = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
+    out = np.empty(m.shape, np.int64 if policy is TiePolicy.LITERAL else np.float64)
+    for j in range(m.shape[1]):
+        srt = np.sort(m[:, j])
+        upper = np.searchsorted(srt, m[:, j], side="right")
+        if policy is TiePolicy.LITERAL:
+            out[:, j] = upper
+        else:
+            out[:, j] = (np.searchsorted(srt, m[:, j], side="left") + upper + 1) / 2.0
+    return out
+
+
+@st.composite
+def rank_inputs(draw):
+    """Small matrices with ties, signed zeros and scales up to 1e+-300, or a 1-d column."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    cells = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]),
+                      st.floats(-3.0, 3.0))
+    scale = draw(st.sampled_from([1.0, 1e300, -1e300, 1e-300]))
+    x = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d) * scale
+    return x[:, 0] if d == 1 and draw(st.booleans()) else x
+
+
 def brute_force_kendall(x, y):
     n = len(x)
     total = 0
@@ -86,6 +111,16 @@ class TestEnsureDataMatrix:
     def test_rejects_numeric_text(self, x):
         with pytest.raises(DomainError):
             ensure_data_matrix(x)
+
+    @pytest.mark.parametrize("cell", ["1.5", b"1.5", np.str_("1.5")], ids=["str", "bytes", "np.str_"])
+    def test_rejects_text_in_an_object_array(self, cell):
+        x = np.array([[cell, 2.0]], dtype=object)
+        with pytest.raises(DomainError, match="got text"):
+            ensure_data_matrix(x)
+
+    def test_object_array_of_numbers_reads_as_float(self):
+        out = ensure_data_matrix(np.array([[1, 2.5], [True, np.float32(0.5)]], dtype=object))
+        np.testing.assert_array_equal(out, [[1.0, 2.5], [1.0, 0.5]])
 
     def test_boolean_input_reads_as_zero_one(self):
         out = ensure_data_matrix(np.array([[True, False], [False, True]]))
@@ -134,6 +169,27 @@ class TestComputeRanks:
         rng = np.random.default_rng(5)
         out = compute_ranks(rng.standard_normal(25))
         assert sorted(out[:, 0]) == list(range(1, 26))
+
+    @given(rank_inputs(), st.sampled_from(TiePolicy))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_sort_and_search_ranks(self, x, policy):
+        out = compute_ranks(x, policy)
+        want = search_ranks(x, policy)
+        assert out.dtype == want.dtype
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_peak_memory_stays_below_three_and_a_half_inputs(self, policy):
+        # the input is traced by neither side; order, ranks and the result are
+        x = np.round(np.random.default_rng(27).standard_normal((20_000, 25)), 2)
+        tracemalloc.start()
+        try:
+            compute_ranks(x, policy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * x.nbytes
 
 
 class TestProbit:
