@@ -3,10 +3,11 @@
 
     python3 scripts/same_outputs.py PARENT CHANGE --seed S [S ...] [--workload W ...]
 
-For every seed and every workload of ``npnbench/workloads.py`` (or those
-named), each checkout runs the workload's set-up and body once, in a fresh process
-started with the interpreter and environment of its ``BENCHMARK.json``
-command and with its own ``src`` and ``npnbench`` on the path. The outputs
+For every seed and every workload declared by the ``BENCHMARK.json`` at the
+root of this script's checkout (or those named), each checkout runs the
+workload's set-up and body once, in a fresh process started with the
+interpreter and environment of its ``BENCHMARK.json`` command and with its
+own ``src`` and ``npnbench`` on the path. The outputs
 are then compared line by line: Monte Carlo cells field by field, every
 float written with ``float.hex``, and the ``npn estimate`` document as text
 with its work directory masked. Each differing line is printed with the
@@ -26,7 +27,6 @@ import tempfile
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve()
-WORKLOADS = ("mc_marginals_n100_d25", "mc_sample_size_d8", "cli_estimate_n20k_d25")
 MASK = "<work>"
 NUMBER = re.compile(r"-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[+-]?\d+|-?\d+(?:\.\d*)?(?:e[+-]?\d+)?")
 
@@ -88,11 +88,13 @@ def run_side(checkout: Path, workload: str, seed: int) -> list[str]:
 
 
 def main(argv=None) -> int:
+    config = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = tuple(w["name"] for w in config["workloads"])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="*", type=Path, help="PARENT CHANGE")
     parser.add_argument("--seed", type=int, nargs="+", required=True)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--child", choices=WORKLOADS, help=argparse.SUPPRESS)
+    parser.add_argument("--workload", action="append", choices=workloads)
+    parser.add_argument("--child", choices=workloads, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -103,7 +105,7 @@ def main(argv=None) -> int:
 
     differ = False
     for seed in args.seed:
-        for workload in args.workload or WORKLOADS:
+        for workload in args.workload or workloads:
             parent, change = (run_side(c, workload, seed) for c in args.checkouts)
             diffs = [i for i in range(max(len(parent), len(change)))
                      if parent[i:i + 1] != change[i:i + 1]]

@@ -352,7 +352,9 @@ def knn_entropy(p, k: int = DEFAULT_K) -> float:
     e = np.frexp(np.max(np.abs(m)))[1]
     unit = np.ldexp(m, -e)
     dist, _ = cKDTree(unit).query(unit, k=k + 1)
-    return _kl_entropy(n, d, k, np.ldexp(dist[:, k], e))
+    # A distance past the float range is inf, as in the one-column pass.
+    with np.errstate(over="ignore"):
+        return _kl_entropy(n, d, k, np.ldexp(dist[:, k], e))
 
 
 def _marginal_entropies(m: np.ndarray, k: int) -> list[float]:

@@ -98,7 +98,17 @@ def as_symmetric(a) -> np.ndarray:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix contains non-finite entries")
-    return (m + m.T) / 2.0
+    return _symmetrize(m)
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """``(m + m.T) / 2``, taking ``m / 2 + m.T / 2`` only where the sum overflows."""
+    with np.errstate(over="ignore"):
+        out = (m + m.T) / 2.0
+    over = np.isinf(out)
+    if over.any():
+        out[over] = (m / 2.0 + m.T / 2.0)[over]
+    return out
 
 
 def as_correlation(a, atol: float = 1e-12) -> np.ndarray:
@@ -216,8 +226,7 @@ def project_to_cone(a, z: float) -> np.ndarray:
         return m
     clamped = np.maximum(w, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (q * clamped) @ q.T
-        out = (out + out.T) / 2.0
+        out = _symmetrize((q * clamped) @ q.T)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"projection at floor z={z} overflows the float range")
     return out

@@ -16,7 +16,8 @@ Kendall's tau uses the tau-a normalization: the pair-sign sum is divided by
 C(n, 2) and tied pairs contribute zero through sign(0) = 0. The sum is an
 exact integer on both backends: a blocked float32 GEMM of pair signs for
 small n, and for large n Knight's merge construction on integer rank keys,
-with the column pairs batched as the rows of one array.
+with the column pairs batched as the rows of one array. One scan of the
+runs of equal sorted values gives the ranks and every tie count.
 """
 
 from __future__ import annotations
@@ -111,34 +112,45 @@ def _sorted_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sorted_ranks(m: np.ndarray, policy: TiePolicy) -> tuple[np.ndarray, np.ndarray]:
     """Sort order of every column of ``m`` and the ranks in that order, as (D, n) rows.
 
-    A literal rank is one past the sorted index of the last member of its
-    run of ties, and a midrank is (start + end + 1) / 2 with ``start`` the
-    run's first index and ``end`` the literal rank. Literal ranks are int32
-    up to n = 2^31 - 1 and midranks float64; each is an exact integer sum
-    before the halving, so both equal the sort-and-search ranks bit for bit.
+    A literal rank is the run end of :func:`_run_ends`, and a midrank is
+    (start + end + 1) / 2, where the run's first index ``start`` is n less
+    the run end in the reversed row. Each is an exact integer sum before the
+    halving, so both equal the sort-and-search ranks bit for bit.
     """
     order, s = _sorted_rows(m)
-    d, n = s.shape
+    n = s.shape[1]
     differs = s[:, 1:] != s[:, :-1]
+    # Freed before any rank array, so that the ranks add nothing to the peak.
     del s
-    pos = np.arange(1, n + 1, dtype=np.int32 if n < 2**31 else np.int64)
-    # Sorted position p ends its run where the next value differs.
-    ranks = np.full((d, n), n, pos.dtype)
-    np.copyto(ranks[:, :-1], pos[:-1], where=differs)
-    flipped = ranks[:, ::-1]
-    np.minimum.accumulate(flipped, axis=1, out=flipped)
+    ends = _run_ends(differs)
     if policy is TiePolicy.LITERAL:
-        return order, ranks
-    mid = np.zeros((d, n))
-    # Sorted position p starts its run where the previous value differs.
-    np.copyto(mid[:, 1:], pos[:-1], where=differs)
+        return order, ends
+    flipped = _run_ends(differs[:, ::-1])
     del differs
-    np.maximum.accumulate(mid, axis=1, out=mid)
-    mid += ranks
-    del ranks
-    mid += 1.0
+    mid = flipped[:, ::-1].astype(np.float64)
+    del flipped
+    np.subtract(n + 1, mid, out=mid)
+    mid += ends
     mid /= 2.0
     return order, mid
+
+
+def _run_ends(differs: np.ndarray) -> np.ndarray:
+    """For each entry of a row-sorted array, one past the index of the last entry equal to it.
+
+    The rows enter as ``differs = rows[:, 1:] != rows[:, :-1]``, so that a
+    caller can free them first, and may be sorted either way. The ends are
+    int32 up to n = 2^31 - 1. A run of c entries adds C(c, 2) more to the
+    row's sum of ends than to the sum of its indices plus one, so a row's
+    tied pairs are that sum less n (n + 1) / 2.
+    """
+    n = differs.shape[1] + 1
+    pos = np.arange(1, n + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    ends = np.full((differs.shape[0], n), n, pos.dtype)
+    np.copyto(ends[:, :-1], pos[:-1], where=differs)
+    flipped = ends[:, ::-1]
+    np.minimum.accumulate(flipped, axis=1, out=flipped)
+    return ends
 
 
 def probit(p):
@@ -243,12 +255,13 @@ def kendall_matrix(x, backend: str = "auto") -> np.ndarray:
         if n > _FLOAT32_EXACT:
             raise DomainError(f"naive Kendall backend is exact for n <= 2^24, got n={n}")
         rows = max(1, _SIGN_BLOCK // (n * d))
+        # Keep each unordered pair once: row a + i against rows b > a + i.
+        later = np.triu(np.ones((min(rows, n),) * 2, np.float32), 1)[:, :, None]
         for a in range(0, n, rows):
             lo, hi = m[a:a + rows, None, :], m[None, a:, :]
             signs = np.subtract(lo > hi, lo < hi, dtype=np.float32)
-            # Keep each unordered pair once: row a + i against rows b > a + i.
             r = signs.shape[0]
-            signs[:, :r] *= np.triu(np.ones((r, r), np.float32), 1)[:, :, None]
+            signs[:, :r] *= later[:r, :r]
             signs = signs.reshape(-1, d)
             total += signs.T @ signs
     else:
@@ -266,12 +279,22 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     broken by column k, the discordant pairs are the strict inversions of
     column k, and the sum is C(n, 2) - T_j - T_k + T_jk - 2 * discordant,
     where T counts the pairs tied in a column and T_jk those tied in both.
-    The pairs are the rows of one integer array, a chunk of about
-    ``_MERGE_BLOCK`` entries at a time. The integers are exact.
+    One run scan (:func:`_run_ends`) gives the literal ranks and every tie
+    count: T_j from the column's sorted values, T_jk from the sorted
+    composite key. The pairs are the rows of one integer array, a chunk of
+    about ``_MERGE_BLOCK`` entries at a time. The integers are exact.
     """
-    n = m.shape[0]
-    keys, vb = _rank_keys(m)
-    ties = np.array([np.sum(c * (c - 1) // 2) for c in map(np.bincount, keys)])
+    order, ends = _sorted_ranks(m, TiePolicy.LITERAL)
+    d, n = ends.shape
+    untied = n * (n + 1) // 2
+    ties = ends.sum(axis=1, dtype=np.int64) - untied
+    # Ranks minus one, in vb bits: the keys of the composite sort and of the
+    # merge levels fit in 2 vb + 1, so they are int32 up to n = 2^15.
+    vb = (n - 1).bit_length()
+    ends -= 1
+    keys = np.empty((d, n), np.int32 if 2 * vb + 1 < 32 else np.int64)
+    np.put_along_axis(keys, order, ends, axis=1)
+    del order, ends
     rows = max(1, _MERGE_BLOCK // n)
     sums = np.empty(j.size, np.int64)
     for lo in range(0, j.size, rows):
@@ -279,36 +302,12 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
         key = keys[a] << vb
         key |= keys[b]
         key.sort(axis=1)
-        joint = _tied_pairs(key) if np.any((ties[a] > 0) & (ties[b] > 0)) else 0
+        joint = 0
+        if np.any((ties[a] > 0) & (ties[b] > 0)):
+            joint = _run_ends(key[:, 1:] != key[:, :-1]).sum(axis=1, dtype=np.int64) - untied
         key &= (1 << vb) - 1
         sums[lo:lo + rows] = joint - 2 * _row_inversions(key, vb)
     return n * (n - 1) // 2 - ties[j] - ties[k] + sums
-
-
-def _rank_keys(x) -> tuple[np.ndarray, int]:
-    """Literal ranks minus one, one row per column, and their bit width vb.
-
-    The keys of the composite sort and of the merge levels fit in
-    2 vb + 1 bits, so they are int32 up to n = 2^15 and int64 beyond.
-    """
-    order, ranks = _sorted_ranks(ensure_data_matrix(x), TiePolicy.LITERAL)
-    d, n = ranks.shape
-    vb = (n - 1).bit_length()
-    ranks -= 1
-    keys = np.empty((d, n), np.int32 if 2 * vb + 1 < 32 else np.int64)
-    np.put_along_axis(keys, order, ranks, axis=1)
-    return keys, vb
-
-
-def _tied_pairs(rows: np.ndarray) -> np.ndarray:
-    """Number of pairs of equal entries in each row of a row-sorted array."""
-    n = rows.shape[1]
-    idx = np.arange(n)
-    # Each entry is tied with the entries between its run's start and itself.
-    start = np.zeros(rows.shape, np.intp)
-    start[:, 1:] = np.where(rows[:, 1:] != rows[:, :-1], idx[1:], 0)
-    np.maximum.accumulate(start, axis=1, out=start)
-    return np.sum(idx - start, axis=1)
 
 
 def _row_inversions(v: np.ndarray, vb: int) -> np.ndarray:
@@ -343,19 +342,6 @@ def _row_inversions(v: np.ndarray, vb: int) -> np.ndarray:
             key |= half
             moved += half
     return moved @ np.arange(n, dtype=np.int64)
-
-
-def count_inversions(values: np.ndarray) -> int:
-    """Strict inversions (i < j with v[i] > v[j]) of a finite 1-d array.
-
-    The one-row case of the ``mergesort`` Kendall backend: the values are
-    ranked, then merged bottom up by :func:`_row_inversions`.
-    """
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.size < 2:
-        return 0
-    keys, vb = _rank_keys(v)
-    return int(_row_inversions(keys, vb)[0])
 
 
 def latent_from_rank_corr(m, kind: str) -> np.ndarray:

@@ -147,6 +147,13 @@ class TestMiFromLatent:
         with pytest.raises(DomainError, match="regularization floor z must be >= 0"):
             mi_from_latent(np.eye(3), z)
 
+    def test_entries_near_the_float_limit(self):
+        # symmetrizing overflowed with a RuntimeWarning; the largest
+        # eigenvalue, 2e308, is past the float range, the other is 0
+        est = mi_from_latent(np.full((2, 2), 1e308), 1e-3)
+        assert not math.isnan(est.value)
+        assert est.clamped == 1
+
 
 class TestPluginBias:
     def test_frozen_reference_values(self):

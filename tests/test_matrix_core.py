@@ -50,6 +50,22 @@ class TestAsSymmetric:
         with pytest.raises(DomainError):
             as_symmetric(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    def test_mean_of_entries_whose_sum_overflows(self):
+        # (a + a.T) / 2 overflowed in the add, a RuntimeWarning
+        out = as_symmetric([[1e308, 1e308], [1.5e308, 1e308]])
+        mean = 1e308 / 2 + 1.5e308 / 2
+        np.testing.assert_array_equal(out, [[1e308, mean], [mean, 1e308]])
+
+    @given(st.lists(st.floats(-1.7e308, 1.7e308), min_size=9, max_size=9))
+    @settings(max_examples=200, deadline=None)
+    def test_plain_mean_bits_wherever_the_sum_is_finite(self, cells):
+        a = np.array(cells).reshape(3, 3)
+        with np.errstate(over="ignore"):
+            plain = (a + a.T) / 2.0
+        out, finite = as_symmetric(a), np.isfinite(plain)
+        np.testing.assert_array_equal(out[finite], plain[finite])
+        assert np.all(np.isfinite(out))
+
 
 class TestAsCorrelation:
     def test_sets_diagonal_exactly_one(self):
@@ -133,8 +149,13 @@ class TestProjectToCone:
             project_to_cone(np.eye(2), z)
 
     def test_overflowing_projection_is_a_domain_error(self):
+        # the largest eigenvalue, 2e308, is past the float range
         with pytest.raises(DomainError, match="overflows"):
-            project_to_cone(np.eye(2), 1.5e308)
+            project_to_cone(np.full((2, 2), 1e308), 1e-3)
+
+    def test_representable_projection_near_the_float_limit(self):
+        # z I is representable; symmetrizing it overflowed the sum z + z
+        np.testing.assert_array_equal(project_to_cone(np.eye(2), 1.7e308), 1.7e308 * np.eye(2))
 
     def test_fixed_point_when_already_inside(self):
         a = np.array([[1.0, 0.2], [0.2, 1.0]])

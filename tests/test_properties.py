@@ -2,9 +2,9 @@
 
 Inputs are small matrices (n 0..5, D 0..4, sometimes 1-d) of every dtype a
 caller might pass: float, int, bool, complex, text and object, with NaN and
-infinities mixed in and magnitudes scaled to 1e300 and 1e-300, and the
-eigenvalue floors z of ``mi_from_latent`` and ``project_to_cone`` are any
-float, NaN or an infinity. A library
+infinities mixed in and magnitudes scaled to 1e-300, 1e300 and up to
+1.5e308, where sums overflow. The eigenvalue floors z of ``mi_from_latent``
+and ``project_to_cone`` are any float, NaN or an infinity. A library
 call may return or raise an ``NpnError``; anything else (a NumPy or SciPy
 exception, a RuntimeWarning, which the test settings turn into an error,
 or a NaN result) fails. The finite cases are also written as CSV files and
@@ -45,7 +45,7 @@ from npn.rank_stats import (
 )
 
 DTYPES = ("float", "int", "bool", "complex", "str", "object")
-SCALES = (1.0, 1e300, -1e300, 1e-300)
+SCALES = (1.0, 1e300, -1e300, 1e-300, 5e307, -5e307)
 CELLS = st.one_of(
     st.integers(-3, 3).map(float),
     st.floats(-3.0, 3.0),

@@ -20,7 +20,6 @@ from npn.rank_stats import (
     _MERGE_BLOCK,
     TiePolicy,
     compute_ranks,
-    count_inversions,
     ensure_data_matrix,
     gaussianize,
     kendall_matrix,
@@ -449,24 +448,29 @@ class TestKendall:
         assert peak < 1_000_000
 
 
-class TestCountInversions:
-    @given(st.lists(st.integers(-20, 20), min_size=0, max_size=120))
+class TestMergesortPairSignSum:
+    """The merge path's pair-sign sum of two columns, ties in both, against direct counting."""
+
+    @staticmethod
+    def assert_matches_quadratic_count(x):
+        n = len(x)
+        want = sum(np.sign(x[a, 0] - x[b, 0]) * np.sign(x[a, 1] - x[b, 1])
+                   for a in range(n) for b in range(a + 1, n))
+        assert kendall_matrix(x, backend="mergesort")[0, 1] == want / (n * (n - 1) // 2)
+
+    @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=120))
     @settings(max_examples=120, deadline=None)
-    def test_matches_quadratic_count(self, values):
-        arr = np.asarray(values, dtype=float)
-        want = sum(
-            1
-            for i in range(len(arr))
-            for j in range(i + 1, len(arr))
-            if arr[i] > arr[j]
-        )
-        assert count_inversions(arr) == want
+    def test_matches_quadratic_count(self, pairs):
+        # the first row repeated, so both columns and the pair have ties
+        self.assert_matches_quadratic_count(np.asarray(pairs + pairs[:1], dtype=float))
 
-    def test_sorted_input_has_none(self):
-        assert count_inversions(np.arange(100.0)) == 0
+    def test_sorted_input_is_concordant_but_for_ties(self):
+        self.assert_matches_quadratic_count(
+            np.column_stack([np.arange(100.0) // 3, np.arange(100.0) // 7]))
 
-    def test_reversed_input_has_all(self):
-        assert count_inversions(np.arange(100.0)[::-1]) == 100 * 99 // 2
+    def test_reversed_input_is_discordant_but_for_ties(self):
+        self.assert_matches_quadratic_count(
+            np.column_stack([np.arange(100.0) // 3, np.arange(100.0)[::-1] // 7]))
 
 
 class TestLatentFromRankCorr:
