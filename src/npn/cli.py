@@ -30,6 +30,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,11 @@ def _check_cells(line: str, lineno: int) -> None:
                                  row=lineno, column=col)
 
 
+# Line breaks of ``str.splitlines`` that NumPy's reader takes for whitespace
+# inside a cell, as UTF-8 bytes; a file holding one takes the Python reader.
+_ODD_LINE_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def load_csv(path) -> np.ndarray:
     """Read a numeric CSV file into an (n, D) matrix.
 
@@ -138,6 +144,14 @@ def load_csv(path) -> np.ndarray:
     like ``NaN`` or ``inf`` parse as numbers, so they are treated as data
     and rejected with their position. Blank lines and a leading UTF-8 byte
     order mark are ignored.
+
+    NumPy's C reader (``np.loadtxt``) is tried first. A file it cannot read
+    as it stands, or reads with a warning, no rows or a non-finite cell,
+    goes to the Python reader :func:`_parse_csv`, and so does any file
+    holding a line break that ``str.splitlines`` knows and NumPy does not
+    (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029). A file
+    with a header takes that reader too. Both readers give the same bits,
+    and every error below comes from the Python reader.
 
     Raises
     ------
@@ -149,6 +163,25 @@ def load_csv(path) -> np.ndarray:
     EmptyFile
         No data rows remain.
     """
+    try:
+        data = Path(path).read_bytes()
+        odd = any(sep in data for sep in _ODD_LINE_BREAKS)
+        del data
+        if not odd:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig")
+            if m.size and np.isfinite(m).all():
+                return m
+    except (OSError, ValueError, Warning):
+        # An unreadable file, a cell NumPy cannot parse, a ragged row or a
+        # warning: the Python reader meets it again and names it.
+        pass
+    return _parse_csv(path)
+
+
+def _parse_csv(path) -> np.ndarray:
+    """:func:`load_csv` in Python: one ``float`` per cell, each error with its place."""
     rows: list[list[float]] = []
     skipped_header = False
     # Neither the text nor its lines are named, so each is freed once used.

@@ -5,10 +5,13 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npn import cli, estimators
 from npn.cli import load_csv, main, save_csv
@@ -32,6 +35,58 @@ def run_json(capsys, argv):
     code = main(argv)
     doc = json.loads(capsys.readouterr().out)
     return code, doc
+
+
+# The line breaks of str.splitlines that NumPy's reader does not break at.
+_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map("{:.3g}".format),
+    st.integers(-10**6, 10**6).map(str),
+)
+_CELLS = st.one_of(_FINITE, st.sampled_from([
+    "nan", "-inf", "Infinity", "1e400", "1_000", "-0", ".5", "5.", "+1", "1e-320", "0x10", "x",
+    "", "1e", "\u0661", "\ufeff1", "1\x002"]))
+_PLAIN_PADS = st.sampled_from(["", "", " ", "\t", "\x1f", "\u2003"])
+_PADS = st.one_of(_PLAIN_PADS, st.sampled_from(_LINE_BREAKS))
+_PLAIN_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+_ENDS = st.one_of(_PLAIN_ENDS, st.sampled_from(_LINE_BREAKS))
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV bytes: a byte order mark or a header row maybe, blank, padded or ragged rows,
+    a trailing comma, every line ending, and one row or one column at times.
+
+    Each file draws its cells, pads, line ends, rows and trailing commas
+    from a plain pool or a full one, so that many files are plain but for
+    one odd part."""
+    cells, pads, ends = (draw(st.sampled_from(pools)) for pools in
+                         ((_FINITE, _CELLS), (_PLAIN_PADS, _PADS), (_PLAIN_ENDS, _ENDS)))
+    kinds = draw(st.sampled_from([("row", "row", "blank"), ("row", "row", "blank", "ragged")]))
+    commas = draw(st.sampled_from([("",), ("", "", ",")]))
+    cols = draw(st.integers(1, 4))
+    lines = [",".join(draw(st.lists(st.sampled_from(["x", "y", "a b"]), min_size=cols,
+                                    max_size=cols)))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u3000", "\x1f"])))
+            continue
+        width = cols if kind == "row" else draw(st.integers(1, 5))
+        row = ",".join(draw(pads) + draw(cells) + draw(pads) for _ in range(width))
+        lines.append(row + draw(st.sampled_from(commas)))
+    text = "".join(line + draw(ends) for line in lines)
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+
+
+def _outcome(read, path):
+    """The array's shape, layout and bytes, or the error's type, message, row and column."""
+    try:
+        m = read(path)
+    except NpnError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return m.shape, m.dtype.str, m.flags.c_contiguous, m.tobytes()
 
 
 class TestLoadCsv:
@@ -162,6 +217,54 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("text", [b"", b" \n\t\r\n\n"])
+    def test_empty_file_keeps_its_message_and_lets_no_warning_out(self, tmp_path, text):
+        # np.loadtxt warns on a file with no data; load_csv must not
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyFile) as info:
+                load_csv(path)
+        assert str(info.value) == f"{path}: no data rows"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EmptyFile):
+                load_csv(path)
+        assert caught == []
+
+    def test_plain_file_takes_the_c_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        x = np.random.default_rng(6).standard_normal((40, 3))
+        np.savetxt(path, x, fmt="%.17g", delimiter=",")
+
+        def python_reader(_):
+            raise AssertionError("took the Python reader")
+
+        monkeypatch.setattr(cli, "_parse_csv", python_reader)
+        np.testing.assert_array_equal(load_csv(path), x)
+
+    def test_guard_holds_every_line_break_but_newline_and_return(self):
+        breaks = {chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) > 1}
+        assert breaks - {"\n", "\r"} == set(_LINE_BREAKS)
+        assert cli._ODD_LINE_BREAKS == tuple(c.encode() for c in _LINE_BREAKS)
+
+    @pytest.mark.parametrize("sep", list(_LINE_BREAKS))
+    def test_line_breaks_split_rows_as_str_splitlines_does(self, tmp_path, sep):
+        # np.loadtxt would read the first line as the row 1,2,3
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,2{sep},3\n4,5,6\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert str(info.value) == "row 2, column 1: cannot parse '' as a number"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_both_readers_agree(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("agree") / "m.csv"
+        path.write_bytes(data.draw(_csv_files()))
+        assert _outcome(load_csv, path) == _outcome(cli._parse_csv, path)
 
 
 class TestSaveCsv:

@@ -9,6 +9,7 @@ which the Monte Carlo tests below exercise directly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from npn import estimators
 from npn.errors import (
     DomainError,
     InsufficientSamples,
@@ -25,6 +27,7 @@ from npn.errors import (
 from npn.estimators import (
     EstimatorConfig,
     EstimatorKind,
+    MiEstimate,
     _kl_entropy,
     _marginal_entropies,
     digamma,
@@ -149,10 +152,15 @@ class TestMiFromLatent:
 
     def test_entries_near_the_float_limit(self):
         # symmetrizing overflowed with a RuntimeWarning; the largest
-        # eigenvalue, 2e308, is past the float range, the other is 0
-        est = mi_from_latent(np.full((2, 2), 1e308), 1e-3)
-        assert not math.isnan(est.value)
-        assert est.clamped == 1
+        # eigenvalue, 2e308, is past the float range and gave a silent -inf
+        with pytest.raises(DomainError, match="overflows the float range"):
+            mi_from_latent(np.full((2, 2), 1e308), 1e-3)
+
+    def test_representable_eigenvalues_near_the_float_limit(self):
+        # eigenvalues 1e308 and 0: the second is clamped to z
+        est = mi_from_latent(np.full((2, 2), 5e307), 1e-3)
+        assert est.value == -0.5 * (math.log(1e308) + math.log(1e-3))
+        assert (est.lambda_min, est.clamped) == (0.0, 1)
 
 
 class TestPluginBias:
@@ -562,6 +570,32 @@ class TestMarginalPass:
             _marginal_entropies(np.zeros((5, 2)), 0)
         with pytest.raises(InsufficientSamples):
             _marginal_entropies(np.zeros((3, 2)), 3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_column_blocks_leave_every_bit(self, k, monkeypatch):
+        # 3,000 x 30 is two blocks, of 21 and 9 columns, at the default size
+        rng = np.random.default_rng(60 + k)
+        x = rng.standard_normal((3000, 30))
+        x[:, 1::5] = np.round(x[:, 1::5], 3)  # ties
+        x[1::2, 2::5] = x[::2, 2::5]  # every value twice: finite at k = 3 only
+        x[:40, 3::5] = 0.5  # a run of 40
+        x[:, 4::5] = np.exp(5.0 * x[:, 4::5])
+        blocks = _marginal_entropies(x, k)
+        assert blocks == [knn_entropy(x[:, j], k=k) for j in range(30)]
+        assert any(math.isinf(h) for h in blocks) and not all(math.isinf(h) for h in blocks)
+        for size in (x.shape[0], x.size):
+            monkeypatch.setattr(estimators, "_KNN_BLOCK", size)
+            assert _marginal_entropies(x, k) == blocks
+
+    def test_entropy_peak_stays_below_the_input_size(self):
+        x = np.random.default_rng(62).standard_normal((20000, 25))
+        tracemalloc.start()
+        try:
+            entropy_npn(x, mi=MiEstimate(0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * x.nbytes
 
 
 class TestMiKnn:
