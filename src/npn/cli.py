@@ -145,13 +145,15 @@ def load_csv(path) -> np.ndarray:
     and rejected with their position. Blank lines and a leading UTF-8 byte
     order mark are ignored.
 
-    NumPy's C reader (``np.loadtxt``) is tried first. A file it cannot read
-    as it stands, or reads with a warning, no rows or a non-finite cell,
-    goes to the Python reader :func:`_parse_csv`, and so does any file
-    holding a line break that ``str.splitlines`` knows and NumPy does not
-    (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029). A file
-    with a header takes that reader too. Both readers give the same bits,
-    and every error below comes from the Python reader.
+    For a regular file, NumPy's C reader (``np.loadtxt``) is tried first. A
+    file it cannot read as it stands, or reads with a warning, no rows or a
+    non-finite cell, goes to the Python reader :func:`_parse_csv`, and so
+    does any file holding a line break that ``str.splitlines`` knows and
+    NumPy does not (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, U+0085, U+2028,
+    U+2029). A file with a header takes that reader too, and so does a pipe
+    or any other input that is not a regular file, which is read once. Both
+    readers give the same bits, and every error below comes from the Python
+    reader.
 
     Raises
     ------
@@ -163,20 +165,27 @@ def load_csv(path) -> np.ndarray:
     EmptyFile
         No data rows remain.
     """
-    try:
-        data = Path(path).read_bytes()
-        odd = any(sep in data for sep in _ODD_LINE_BREAKS)
-        del data
-        if not odd:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig")
-            if m.size and np.isfinite(m).all():
-                return m
-    except (OSError, ValueError, Warning):
-        # An unreadable file, a cell NumPy cannot parse, a ragged row or a
-        # warning: the Python reader meets it again and names it.
-        pass
+    # The C reader opens the file a second time, which a pipe cannot give.
+    if Path(path).is_file():
+        try:
+            data = Path(path).read_bytes()
+            # An ASCII file holds none of the multi-byte breaks, and isascii
+            # is far faster than their substring searches.
+            ascii_only = data.isascii()
+            odd = any(sep in data for sep in _ODD_LINE_BREAKS if sep.isascii() or not ascii_only)
+            del data
+            if not odd:
+                with warnings.catch_warnings():
+                    # NumPy warns on a file with no rows, which this makes an error.
+                    warnings.simplefilter("error")
+                    m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                   encoding="utf-8-sig")
+                if np.isfinite(m).all():
+                    return m
+        except (OSError, ValueError, Warning):
+            # An unreadable file, a cell NumPy cannot parse, a ragged row or a
+            # warning: the Python reader meets it again and names it.
+            pass
     return _parse_csv(path)
 
 

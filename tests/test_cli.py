@@ -3,7 +3,9 @@
 import importlib.util
 import json
 import math
+import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -245,6 +247,21 @@ class TestLoadCsv:
         monkeypatch.setattr(cli, "_parse_csv", python_reader)
         np.testing.assert_array_equal(load_csv(path), x)
 
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    @pytest.mark.parametrize("text", [b"1,2\n3,4\n", b"a,b\n1,2\n3,4\n", b"1,2\n3,x\n"])
+    def test_pipe_is_read_once(self, tmp_path, text):
+        # a pipe gives its bytes to one read only: a reader that opened it
+        # twice would find no rows
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        read, write = os.pipe()
+        with os.fdopen(write, "wb") as stream:
+            stream.write(text)  # well below a pipe's buffer
+        try:
+            assert _outcome(load_csv, f"/dev/fd/{read}") == _outcome(cli._parse_csv, path)
+        finally:
+            os.close(read)
+
     def test_guard_holds_every_line_break_but_newline_and_return(self):
         breaks = {chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) > 1}
         assert breaks - {"\n", "\r"} == set(_LINE_BREAKS)
@@ -303,6 +320,27 @@ class TestEstimateCommand:
         assert set(values) == {"rho", "tau", "gauss", "gaussian"}
         for value in values.values():
             assert value == pytest.approx(MI_AT_06, abs=0.05)
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_input_from_a_pipe(self, corr_csv, capsys):
+        argv = ["estimate", "--estimators", "rho,gaussian", "--entropy", "--input"]
+        _, want = run_json(capsys, [*argv, str(corr_csv)])
+        read, write = os.pipe()
+
+        def feed():
+            with os.fdopen(write, "wb") as stream:
+                stream.write(corr_csv.read_bytes())
+
+        # the file is larger than a pipe's buffer, so it is written beside the read
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            code, doc = run_json(capsys, [*argv, f"/dev/fd/{read}"])
+        finally:
+            feeder.join()
+            os.close(read)
+        assert code == 0
+        assert (doc["estimates"], doc["entropy"]) == (want["estimates"], want["entropy"])
 
     def test_entropy_flag_appends_value(self, corr_csv, capsys):
         code, doc = run_json(
