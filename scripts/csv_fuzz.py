@@ -12,8 +12,9 @@ or one column, and now and then a byte that is not UTF-8. Each checkout then
 reads every file in a fresh process, with its own ``src`` on the path and
 the interpreter running this script. The outcome of a file is the array's
 shape, dtype and a hash of its bytes, or the error's type, message, row and
-column. The report counts each kind of outcome and prints the first
-differing files. Exits 1 on any difference, 0 when every file agrees.
+column. The report counts each kind of outcome, counts the differing files
+by their pair of outcome kinds, and prints the first of them. Exits 1 on
+any difference, 0 when every file agrees.
 """
 
 from __future__ import annotations
@@ -126,6 +127,10 @@ def main(argv=None) -> int:
         kinds = collections.Counter(json.loads(line)[0] for line in parent)
         print(f"{args.files} files, seed {args.seed}: {len(diffs)} differ")
         print("parent outcomes: " + ", ".join(f"{k} {v}" for k, v in kinds.most_common()))
+        moved = collections.Counter(f"{json.loads(parent[i])[0]} -> {json.loads(change[i])[0]}"
+                                    for i in diffs)
+        if moved:
+            print("differing: " + ", ".join(f"{k} {v}" for k, v in moved.most_common()))
         for i in diffs[:10]:
             print(f"  file {i}: {(work / f'{i}.csv').read_bytes()!r}")
             print(f"    parent {parent[i]}\n    change {change[i]}")

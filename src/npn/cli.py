@@ -134,6 +134,10 @@ def _check_cells(line: str, lineno: int) -> None:
 # Line breaks of ``str.splitlines`` that NumPy's reader takes for whitespace
 # inside a cell, as UTF-8 bytes; a file holding one takes the Python reader.
 _ODD_LINE_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# Bytes per read of the guard that looks for them. Each read is searched
+# with the two bytes before it, so a break of up to three bytes that
+# straddles two reads is seen whole.
+_GUARD_CHUNK = 1 << 16
 
 
 def load_csv(path) -> np.ndarray:
@@ -153,13 +157,14 @@ def load_csv(path) -> np.ndarray:
     U+2029). A file with a header takes that reader too, and so does a pipe
     or any other input that is not a regular file, which is read once. Both
     readers give the same bits, and every error below comes from the Python
-    reader.
+    reader. The guard reads the file in chunks of ``_GUARD_CHUNK`` bytes,
+    so beside the result the fast path holds one chunk, never the file.
 
     Raises
     ------
     ParseError
         Malformed token or inconsistent column count (with 1-based row and
-        column of the offender).
+        column of the offender), or a byte that is not UTF-8 (with its row).
     NonFiniteValue
         A cell parsed to NaN or infinity.
     EmptyFile
@@ -168,13 +173,7 @@ def load_csv(path) -> np.ndarray:
     # The C reader opens the file a second time, which a pipe cannot give.
     if Path(path).is_file():
         try:
-            data = Path(path).read_bytes()
-            # An ASCII file holds none of the multi-byte breaks, and isascii
-            # is far faster than their substring searches.
-            ascii_only = data.isascii()
-            odd = any(sep in data for sep in _ODD_LINE_BREAKS if sep.isascii() or not ascii_only)
-            del data
-            if not odd:
+            if not _has_odd_line_break(path):
                 with warnings.catch_warnings():
                     # NumPy warns on a file with no rows, which this makes an error.
                     warnings.simplefilter("error")
@@ -189,12 +188,45 @@ def load_csv(path) -> np.ndarray:
     return _parse_csv(path)
 
 
+def _has_odd_line_break(path) -> bool:
+    """Whether the file holds one of ``_ODD_LINE_BREAKS``, read ``_GUARD_CHUNK`` bytes at a time."""
+    tail = b""
+    with open(path, "rb") as f:
+        while chunk := f.read(_GUARD_CHUNK):
+            window = tail + chunk
+            # An ASCII window holds none of the multi-byte breaks, and isascii
+            # is far faster than their substring searches.
+            ascii_only = window.isascii()
+            if any(sep in window for sep in _ODD_LINE_BREAKS if sep.isascii() or not ascii_only):
+                return True
+            tail = window[-2:]
+    return False
+
+
+def _read_text(path) -> str:
+    """The file's text as UTF-8, after an optional byte order mark.
+
+    Raises ParseError, with the row of the first byte that is not UTF-8,
+    where decoding would raise UnicodeDecodeError.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # The text before the bad byte decodes. With one more character it has
+        # as many lines as the byte's row number, also when it ends in a break.
+        row = len((exc.object[:exc.start].decode("utf-8") + ".").splitlines())
+        byte = exc.object[exc.start]
+        raise ParseError(f"row {row}: byte {byte:#04x} is not UTF-8 ({exc.reason})",
+                         row=row) from None
+
+
 def _parse_csv(path) -> np.ndarray:
     """:func:`load_csv` in Python: one ``float`` per cell, each error with its place."""
     rows: list[list[float]] = []
     skipped_header = False
     # Neither the text nor its lines are named, so each is freed once used.
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -43,6 +43,7 @@ from .errors import (
 from .matrix_core import as_correlation, as_symmetric, cholesky_logdet, sym_eigen
 from .rank_stats import (
     TiePolicy,
+    _column_blocks,
     _sorted_rows,
     ensure_data_matrix,
     kendall_matrix,
@@ -68,9 +69,6 @@ __all__ = [
 
 DEFAULT_Z = 1e-3
 DEFAULT_K = 2
-
-# Entries in one column block of the marginal kNN pass.
-_KNN_BLOCK = 1 << 16
 
 
 class EstimatorKind(enum.Enum):
@@ -373,19 +371,20 @@ def _marginal_entropies(m: np.ndarray, k: int) -> list[float]:
     stays exact at scales where it would. The columns are the rows of one
     array, and their Kozachenko-Leonenko sums one reduction.
 
-    Memory: a matrix of more than ``_KNN_BLOCK`` entries goes through this
-    pass in blocks of whole columns, about ``_KNN_BLOCK`` entries each (at
-    least one column). So the pass holds five float64 or int64 arrays of a
-    block's size, not of the matrix's: about 2.4 MB, not 20 MB, at 20,000 x
-    25. A smaller matrix is one block, with no copy and no concatenation.
-    Each column's entropy is one row of its block's reduction, so the
-    blocking leaves its bits as they are.
+    Memory: the pass takes the columns one block (:func:`_column_blocks`)
+    at a time, so it holds five float64 or int64 arrays of a block's size,
+    not of the matrix's: about 2.4 MB, not 20 MB, at 20,000 x 25. Each
+    column's entropy is one row of its block's reduction, so the blocking
+    leaves its bits as they are.
     """
     n, d = m.shape
     _check_knn_shape(n, k)
-    cols = max(1, _KNN_BLOCK // n)
-    if cols < d:
-        return [h for lo in range(0, d, cols) for h in _marginal_entropies(m[:, lo:lo + cols], k)]
+    return [h for cols in _column_blocks(n, d) for h in _block_entropies(m[:, cols], k)]
+
+
+def _block_entropies(m: np.ndarray, k: int) -> list[float]:
+    """:func:`_marginal_entropies` of one block of columns."""
+    n, d = m.shape
     order, s = _sorted_rows(m)
     # A run of max(k, 2) equal sorted values is the tree path's duplicate rule.
     dup = np.any(s[:, max(k, 2) - 1:] == s[:, : n - max(k, 2) + 1], axis=1)

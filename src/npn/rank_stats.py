@@ -17,7 +17,10 @@ C(n, 2) and tied pairs contribute zero through sign(0) = 0. The sum is an
 exact integer on both backends: a blocked float32 GEMM of pair signs for
 small n, and for large n Knight's merge construction on integer rank keys,
 with the column pairs batched as the rows of one array. One scan of the
-runs of equal sorted values gives the ranks and every tie count.
+runs of equal sorted values gives the ranks and every tie count. Every
+pass that sorts the columns takes them one block at a time
+(:func:`_column_blocks`), so it holds at most one n x D array beside its
+input.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ _SIGN_BLOCK = 1 << 14
 _FLOAT32_EXACT = 1 << 24
 # Key entries (column pairs x n) per chunk of the mergesort Kendall backend.
 _MERGE_BLOCK = 1 << 13
+# Entries per block of whole columns in every pass that sorts the columns.
+_COLUMN_BLOCK = 1 << 16
 
 
 class TiePolicy(enum.Enum):
@@ -89,12 +94,32 @@ def compute_ranks(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     Under LITERAL the result is integer valued (dtype int64); under MIDRANK
     tied groups get half-integer averages (dtype float64). Columns with all
     entries distinct are permutations of {1, ..., n} under either policy.
+    Beside the result, only one block of columns (:func:`_column_blocks`)
+    is sorted and ranked at a time.
     """
     m = ensure_data_matrix(x)
-    order, ranks = _sorted_ranks(m, policy)
-    out = np.empty(m.shape, np.int64 if policy is TiePolicy.LITERAL else np.float64)
-    # Scattered through the transposed view, so the result is C-contiguous.
-    np.put_along_axis(out.T, order, ranks, axis=1)
+    dtype = np.int64 if policy is TiePolicy.LITERAL else np.float64
+    return _put_ranks(m, policy, np.empty(m.shape, dtype))
+
+
+def _column_blocks(n: int, d: int) -> list[slice]:
+    """Blocks of whole columns of an n x d matrix, about ``_COLUMN_BLOCK`` entries each.
+
+    A block holds at least one column, and a matrix of at most
+    ``_COLUMN_BLOCK`` entries is one block. Every column's result depends
+    on that column alone, so the blocks leave its bits as they are.
+    """
+    cols = max(1, _COLUMN_BLOCK // n)
+    return [slice(lo, lo + cols) for lo in range(0, d, cols)]
+
+
+def _put_ranks(m: np.ndarray, policy: TiePolicy, out: np.ndarray) -> np.ndarray:
+    """Write the ranks of ``m``'s columns into ``out``, one block of columns at a time."""
+    for cols in _column_blocks(*m.shape):
+        order, ranks = _sorted_ranks(m[:, cols], policy)
+        # Scattered through the transposed view, whose rows are the block's columns.
+        np.put_along_axis(out[:, cols].T, order, ranks, axis=1)
+        del order, ranks
     return out
 
 
@@ -177,13 +202,21 @@ def gaussianize(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
 
     Entry (i, j) becomes probit(R[i, j] / (n + 1)). For a distinct-valued
     column the sorted output is the fixed symmetric grid
-    {probit(i / (n + 1)) : i = 1..n}, so the column mean is zero.
+    {probit(i / (n + 1)) : i = 1..n}, so the column mean is zero. The
+    quantiles are written into the one float64 result one block of columns
+    (:func:`_column_blocks`) at a time, taken in sorted order, where each
+    block's ranks are contiguous.
     """
-    ranks = compute_ranks(x, policy)
-    n = ranks.shape[0]
+    m = ensure_data_matrix(x)
+    n, d = m.shape
     if n < 2:
         raise DomainError("gaussianization needs at least 2 samples")
-    return probit(np.asarray(ranks, dtype=np.float64) / (n + 1.0))
+    out = np.empty((n, d))
+    for cols in _column_blocks(n, d):
+        order, ranks = _sorted_ranks(m[:, cols], policy)
+        np.put_along_axis(out[:, cols].T, order, probit(ranks / (n + 1.0)), axis=1)
+        del order, ranks
+    return out
 
 
 def sigma_g(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
@@ -202,20 +235,35 @@ def sigma_g(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
 def spearman_matrix(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     """Spearman rank-correlation matrix (Pearson correlation of ranks).
 
+    The float64 ranks go straight into one array, one block of columns
+    (:func:`_column_blocks`) at a time, and ``np.corrcoef``'s own
+    arithmetic runs on it in place, so the result has its bits without its
+    two copies of the ranks.
+
     Raises
     ------
     DegenerateColumn
         If some column's ranks are constant, which makes the correlation
         undefined for that column.
     """
-    ranks = np.asarray(compute_ranks(x, policy), dtype=np.float64)
+    m = ensure_data_matrix(x)
+    n, d = m.shape
+    ranks = _put_ranks(m, policy, np.empty(m.shape))
     spread = np.ptp(ranks, axis=0)
     if np.any(spread == 0.0):
         j = int(np.flatnonzero(spread == 0.0)[0])
         raise DegenerateColumn(f"column {j} has constant ranks")
-    if ranks.shape[1] == 1:
+    if d == 1:
         return np.ones((1, 1))
-    corr = np.corrcoef(ranks, rowvar=False)
+    # np.corrcoef(ranks, rowvar=False) step by step, on the columns as rows.
+    xt = ranks.T
+    xt -= xt.mean(axis=1)[:, None]
+    corr = np.dot(xt, xt.T)
+    corr *= 1 / (n - 1)
+    stddev = np.sqrt(np.diag(corr))
+    corr /= stddev[:, None]
+    corr /= stddev[None, :]
+    np.clip(corr, -1, 1, out=corr)
     corr = as_symmetric(corr)
     np.fill_diagonal(corr, 1.0)
     return corr
@@ -281,20 +329,24 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     where T counts the pairs tied in a column and T_jk those tied in both.
     One run scan (:func:`_run_ends`) gives the literal ranks and every tie
     count: T_j from the column's sorted values, T_jk from the sorted
-    composite key. The pairs are the rows of one integer array, a chunk of
+    composite key. The keys are ranked one block of columns
+    (:func:`_column_blocks`) at a time, so only one block's sort is held
+    beside them. The pairs are the rows of one integer array, a chunk of
     about ``_MERGE_BLOCK`` entries at a time. The integers are exact.
     """
-    order, ends = _sorted_ranks(m, TiePolicy.LITERAL)
-    d, n = ends.shape
+    n, d = m.shape
     untied = n * (n + 1) // 2
-    ties = ends.sum(axis=1, dtype=np.int64) - untied
     # Ranks minus one, in vb bits: the keys of the composite sort and of the
     # merge levels fit in 2 vb + 1, so they are int32 up to n = 2^15.
     vb = (n - 1).bit_length()
-    ends -= 1
     keys = np.empty((d, n), np.int32 if 2 * vb + 1 < 32 else np.int64)
-    np.put_along_axis(keys, order, ends, axis=1)
-    del order, ends
+    ties = np.empty(d, np.int64)
+    for cols in _column_blocks(n, d):
+        order, ends = _sorted_ranks(m[:, cols], TiePolicy.LITERAL)
+        ties[cols] = ends.sum(axis=1, dtype=np.int64) - untied
+        ends -= 1
+        np.put_along_axis(keys[cols], order, ends, axis=1)
+        del order, ends
     rows = max(1, _MERGE_BLOCK // n)
     sums = np.empty(j.size, np.int64)
     for lo in range(0, j.size, rows):

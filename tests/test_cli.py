@@ -276,6 +276,48 @@ class TestLoadCsv:
             load_csv(path)
         assert str(info.value) == "row 2, column 1: cannot parse '' as a number"
 
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_guard_sees_a_break_across_every_chunk_boundary(self, tmp_path, monkeypatch, size):
+        # np.loadtxt reads "1,<break>2" as the row 1,2; str.splitlines makes
+        # "1," a header line and 2 the one row, so a missed break shows
+        monkeypatch.setattr(cli, "_GUARD_CHUNK", size)
+        path = tmp_path / "m.csv"
+        for sep in _LINE_BREAKS:
+            for offset in range(2 * size + 3):
+                path.write_bytes(b" " * offset + f"1,{sep}2\n".encode())
+                assert _outcome(load_csv, path) == _outcome(cli._parse_csv, path)
+                np.testing.assert_array_equal(load_csv(path), [[2.0]])
+        for text in (b"", b" \n\t\r\n\n"):
+            path.write_bytes(text)
+            assert _outcome(load_csv, path) == _outcome(cli._parse_csv, path)
+
+    def test_peak_memory_stays_near_the_result_at_20000_by_25(self, tmp_path):
+        # the guard holds one chunk of the file, never all of it
+        path = tmp_path / "m.csv"
+        np.savetxt(path, np.random.default_rng(8).standard_normal((20_000, 25)), fmt="%.17g",
+                   delimiter=",")
+        tracemalloc.start()
+        try:
+            m = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.shape == (20_000, 25)
+        assert peak < 1.5 * m.nbytes
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [(b"1,2\n3,4\xff\n", 2), (b"\xef\xbb\xbf\xff1,2\n", 1), (b"1\r\n2\x0b\xc3(\n", 3),
+         (b"a,b\n1,2\n\n3,\xe2\x80\n", 4)],
+    )
+    def test_byte_that_is_not_utf8_is_a_parse_error_with_its_row(self, tmp_path, text, row):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert info.value.row == row and info.value.column is None
+        assert str(info.value).startswith(f"row {row}: byte 0x")
+
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_both_readers_agree(self, tmp_path_factory, data):
@@ -481,6 +523,13 @@ class TestEstimateCommand:
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\nnan,0.5\n")
         assert main(["estimate", "--input", str(path)]) == 2
+
+    def test_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3,4\xff\n")
+        assert main(["estimate", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: row 2: byte 0xff is not UTF-8 (invalid start byte)\n"
 
     def test_unknown_estimator_is_usage_error(self, corr_csv):
         assert main(["estimate", "--input", str(corr_csv), "--estimators", "pearson"]) == 1

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from npn import estimators
+from npn import rank_stats
 from npn.errors import (
     DomainError,
     InsufficientSamples,
@@ -584,7 +584,7 @@ class TestMarginalPass:
         assert blocks == [knn_entropy(x[:, j], k=k) for j in range(30)]
         assert any(math.isinf(h) for h in blocks) and not all(math.isinf(h) for h in blocks)
         for size in (x.shape[0], x.size):
-            monkeypatch.setattr(estimators, "_KNN_BLOCK", size)
+            monkeypatch.setattr(rank_stats, "_COLUMN_BLOCK", size)
             assert _marginal_entropies(x, k) == blocks
 
     def test_entropy_peak_stays_below_the_input_size(self):

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from npn import rank_stats
 from npn.errors import DegenerateColumn, DomainError
+from npn.matrix_core import as_symmetric
 from npn.rank_stats import (
     _MERGE_BLOCK,
     TiePolicy,
@@ -320,6 +322,23 @@ class TestSpearman:
         with pytest.raises(DegenerateColumn):
             spearman_matrix(x)
 
+    @given(rank_inputs(), st.sampled_from(TiePolicy))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_corrcoef_of_the_float_ranks(self, x, policy):
+        # the in-place arithmetic is np.corrcoef's own, so every bit agrees
+        ranks = compute_ranks(x, policy).astype(float)
+        if np.any(np.ptp(ranks, axis=0) == 0.0):
+            with pytest.raises(DegenerateColumn):
+                spearman_matrix(x, policy)
+            return
+        want = np.ones((1, 1))
+        if ranks.shape[1] > 1:
+            want = as_symmetric(np.corrcoef(ranks, rowvar=False))
+            np.fill_diagonal(want, 1.0)
+        out = spearman_matrix(x, policy)
+        assert out.shape == want.shape
+        assert (out == want).all() and out.tobytes() == want.tobytes()
+
     def test_single_row_change_moves_entries_little(self):
         # swapping one observation can shift each entry by at most 18/n
         rng = np.random.default_rng(16)
@@ -471,6 +490,61 @@ class TestMergesortPairSignSum:
     def test_reversed_input_is_discordant_but_for_ties(self):
         self.assert_matches_quadratic_count(
             np.column_stack([np.arange(100.0) // 3, np.arange(100.0)[::-1] // 7]))
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (2**16, 1), (2**16 + 1, 2), (1000, 66)])
+    def test_blocks_cover_every_column_once(self, n, d):
+        blocks = rank_stats._column_blocks(n, d)
+        assert np.concatenate([np.arange(d)[cols] for cols in blocks]).tolist() == list(range(d))
+        sizes = [np.arange(d)[cols].size * n for cols in blocks]
+        assert all(size <= max(n, rank_stats._COLUMN_BLOCK) for size in sizes)
+        assert len(blocks) == 1 or n * d > rank_stats._COLUMN_BLOCK
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_blocks_leave_every_bit(self, policy, monkeypatch):
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((300, 7))
+        x[:, 1::2] = np.round(x[:, 1::2], 1)  # ties
+        fns = (
+            lambda: compute_ranks(x, policy),
+            lambda: gaussianize(x, policy),
+            lambda: sigma_g(x, policy),
+            lambda: spearman_matrix(x, policy),
+            lambda: kendall_matrix(x, backend="mergesort"),
+        )
+        whole = [fn() for fn in fns]
+        # one column per block, then three columns and a partial last block
+        for size in (300, 900):
+            monkeypatch.setattr(rank_stats, "_COLUMN_BLOCK", size)
+            for fn, want in zip(fns, whole):
+                out = fn()
+                assert out.dtype == want.dtype and out.flags.c_contiguous
+                assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "fn, bound",
+        [
+            (lambda x: gaussianize(x, TiePolicy.LITERAL), 1.75),
+            (lambda x: gaussianize(x, TiePolicy.MIDRANK), 1.75),
+            (lambda x: spearman_matrix(x, TiePolicy.LITERAL), 1.75),
+            (lambda x: spearman_matrix(x, TiePolicy.MIDRANK), 1.75),
+            (kendall_matrix, 1.0),
+        ],
+        ids=["gaussianize-literal", "gaussianize-midrank", "spearman-literal", "spearman-midrank",
+             "kendall"],
+    )
+    def test_peak_memory_holds_one_matrix_beside_the_input(self, fn, bound):
+        # one n x D float64 array (Kendall: int32 keys) and one block of
+        # columns at a time; the input is traced by neither side
+        x = np.round(np.random.default_rng(28).standard_normal((20_000, 25)), 2)
+        tracemalloc.start()
+        try:
+            fn(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * x.nbytes
 
 
 class TestLatentFromRankCorr:
