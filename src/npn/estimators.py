@@ -349,9 +349,12 @@ def knn_entropy(p, k: int = DEFAULT_K) -> float:
     if d == 1:
         return _marginal_entropies(m, k)[0]
     _check_knn_shape(n, k)
-    _, counts = np.unique(m, axis=0, return_counts=True)
-    if int(counts.max()) >= max(k, 2):
-        return math.inf
+    # Equal rows share their first entry, so rows can repeat only where it does.
+    first = np.sort(m[:, 0])
+    if np.any(first[1:] == first[:-1]):
+        _, counts = np.unique(m, axis=0, return_counts=True)
+        if int(counts.max()) >= max(k, 2):
+            return math.inf
     e = np.frexp(np.max(np.abs(m)))[1]
     unit = np.ldexp(m, -e)
     dist, _ = cKDTree(unit).query(unit, k=k + 1)

@@ -20,7 +20,10 @@ Random streams are derived from (seed, trial, purpose) only. The sweep
 value is deliberately excluded, so sweep points share their draws: the
 outlier experiment at beta = 0 reproduces the clean pipeline bit for bit,
 and the marginal experiment compares transformed and untransformed runs on
-identical data.
+identical data. :func:`run_experiment` therefore loops over trials
+outside and sweep values inside, drawing each trial's correlation matrix
+once and computing the rank estimators once wherever the data keep the
+clean sample's ranks.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateDraw, DomainError, NotPositiveDefinite, NpnError
-from .estimators import DEFAULT_K, EstimatorConfig, EstimatorKind, estimate_mi, true_mi
+from .estimators import DEFAULT_K, EstimatorConfig, EstimatorKind, MiEstimate, estimate_mi, true_mi
 from .matrix_core import as_symmetric
 from .rank_stats import ensure_data_matrix
 
@@ -55,6 +58,9 @@ __all__ = [
 _PURPOSE_SIGMA = 0
 _PURPOSE_DATA = 1
 _PURPOSE_OUTLIERS = 2
+
+# The estimators that see the data only through each column's order.
+_RANK_KINDS = frozenset((EstimatorKind.GAUSS, EstimatorKind.RHO, EstimatorKind.TAU))
 
 _WISHART_RETRIES = 100
 _MIN_EIGENVALUE = 1e-10
@@ -279,10 +285,15 @@ def apply_marginal_transform(x, alpha: float, transform: MarginalTransform) -> n
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     m = ensure_data_matrix(x).copy()
-    cols = np.arange(m.shape[1]) < alpha * m.shape[1]
+    cols = _transformed_columns(m.shape[1], alpha)
     if np.any(cols):
         m[:, cols] = transform.apply(m[:, cols])
     return m
+
+
+def _transformed_columns(d: int, alpha: float) -> np.ndarray:
+    """Mask of the leading columns j < alpha * d that :func:`apply_marginal_transform` maps."""
+    return np.arange(d) < alpha * d
 
 
 def inject_outliers(x, beta: float, rng: np.random.Generator) -> np.ndarray:
@@ -304,22 +315,102 @@ def inject_outliers(x, beta: float, rng: np.random.Generator) -> np.ndarray:
     return m
 
 
-def _draw_trial_sigma(spec: ExperimentSpec, sweep_value: float, trial: int) -> np.ndarray:
-    if spec.experiment is ExperimentId.SIGMA:
-        return np.array([[1.0, sweep_value], [sweep_value, 1.0]])
-    rng = _stream(spec.seed, trial, _PURPOSE_SIGMA)
-    return sample_correlation_wishart(spec.d, rng)
+def _draw_truth(spec: ExperimentSpec, sweep_value: float, trial: int) -> tuple[np.ndarray, float] | None:
+    """A trial's latent correlation and its exact mutual information; None on an NpnError."""
+    try:
+        if spec.experiment is ExperimentId.SIGMA:
+            sigma = np.array([[1.0, sweep_value], [sweep_value, 1.0]])
+        else:
+            sigma = sample_correlation_wishart(spec.d, _stream(spec.seed, trial, _PURPOSE_SIGMA))
+        return sigma, true_mi(sigma)
+    except NpnError:
+        return None
 
 
-def _draw_trial_data(spec: ExperimentSpec, sigma: np.ndarray, sweep_value: float, trial: int) -> np.ndarray:
+def _draw_trial_data(
+    spec: ExperimentSpec, sigma: np.ndarray, sweep_value: float, trial: int
+) -> tuple[np.ndarray, bool]:
+    """A trial's corrupted data, and whether they keep the clean sample's ranks.
+
+    The flag is True only in experiment 2, and only when every transformed
+    column orders the samples exactly as its clean column does
+    (:func:`_keeps_order`); the untransformed columns are the clean ones.
+    The clean sample is freed on return.
+    """
     n = int(sweep_value) if spec.experiment is ExperimentId.SAMPLE_SIZE else spec.n
     rng = _stream(spec.seed, trial, _PURPOSE_DATA)
     x = sample_gaussian(sigma, n, rng)
     if spec.experiment is ExperimentId.MARGINALS:
-        return apply_marginal_transform(x, sweep_value, spec.transform)
+        data = apply_marginal_transform(x, sweep_value, spec.transform)
+        # The transformed columns lead, so views of them copy nothing.
+        lead = int(np.count_nonzero(_transformed_columns(x.shape[1], sweep_value)))
+        return data, _keeps_order(x[:, :lead], data[:, :lead])
     if spec.experiment is ExperimentId.OUTLIERS:
-        return inject_outliers(x, sweep_value, _stream(spec.seed, trial, _PURPOSE_OUTLIERS))
-    return x
+        return inject_outliers(x, sweep_value, _stream(spec.seed, trial, _PURPOSE_OUTLIERS)), False
+    return x, False
+
+
+def _keeps_order(clean: np.ndarray, bent: np.ndarray) -> bool:
+    """Whether each column of ``bent`` orders its samples exactly as ``clean``'s does.
+
+    True when every entry of ``bent`` is finite and, along each clean
+    column's sort order, the bent column rises wherever the clean one
+    rises and stays level wherever it stays level. Every pair of samples
+    then compares the same way in both, so the two columns have the same
+    ranks under either tie policy and the same Kendall signs. A new tie, a
+    broken tie, a swapped pair, NaN or inf gives False; no column at all
+    gives True.
+    """
+    if not np.all(np.isfinite(bent)):
+        return False
+    # One column at a time, so that the check holds no array of the matrix's size.
+    for before, after in zip(clean.T, bent.T):
+        order = np.argsort(before)
+        step = np.diff(after[order])
+        if not (np.all(step >= 0) and np.array_equal(step > 0, np.diff(before[order]) > 0)):
+            return False
+    return True
+
+
+def _estimate(data: np.ndarray, cfg: EstimatorConfig) -> MiEstimate | None:
+    """``estimate_mi``, or None on an NpnError: an outcome that holds no data."""
+    try:
+        return estimate_mi(data, cfg)
+    except NpnError:
+        return None
+
+
+def _trial_records(
+    spec: ExperimentSpec,
+    drawn: tuple[np.ndarray, float] | None,
+    sweep_value: float,
+    trial: int,
+    memo: dict[EstimatorConfig, MiEstimate | None],
+) -> list[TrialRecord]:
+    """One trial's record of every estimator at one sweep value.
+
+    A rank estimator's outcome on data that keep the clean ranks is taken
+    from ``memo`` when there, and put there when not.
+    """
+    failed = [TrialRecord(sweep_value, cfg.kind, math.inf, trial) for cfg in spec.estimators]
+    if drawn is None:
+        return failed
+    sigma, truth = drawn
+    try:
+        data, keeps_ranks = _draw_trial_data(spec, sigma, sweep_value, trial)
+    except NpnError:
+        return failed
+    records = []
+    for cfg in spec.estimators:
+        if keeps_ranks and cfg.kind in _RANK_KINDS:
+            if cfg not in memo:
+                memo[cfg] = _estimate(data, cfg)
+            est = memo[cfg]
+        else:
+            est = _estimate(data, cfg)
+        err = math.inf if est is None or est.is_infinite else (est.value - truth) ** 2
+        records.append(TrialRecord(sweep_value, cfg.kind, err, trial))
+    return records
 
 
 def run_experiment(spec: ExperimentSpec) -> list[MseSummary]:
@@ -331,27 +422,30 @@ def run_experiment(spec: ExperimentSpec) -> list[MseSummary]:
     from. Per-trial estimator failures are recorded as infinite errors
     rather than aborting the sweep, and the result is bit-reproducible for
     a fixed spec.
+
+    The loop is trial-major. A trial draws its latent correlation and its
+    exact mutual information once, since their stream does not depend on
+    the sweep value; only experiment 4, whose correlation is the sweep
+    value, draws them at every sweep value. The sample is drawn again at
+    each sweep value from its own stream, so no data matrix is held from
+    one sweep value to the next. gauss, rho and tau see the data only
+    through the order of the samples within each column, so at every sweep
+    value whose data keep the clean sample's order in each column
+    (experiment 2's strictly increasing maps, checked exactly on the
+    transformed columns) a trial computes each of them once, with its
+    outcome or its error, and uses it again. The estimate is bit-identical
+    to one computed afresh, so the records are too. They are aggregated in
+    sweep-major order, as if the sweep were the outer loop.
     """
     spec = spec.resolved()
-    records: list[TrialRecord] = []
-    for sweep_value in spec.sweep:
-        for trial in range(spec.trials):
-            try:
-                sigma = _draw_trial_sigma(spec, sweep_value, trial)
-                truth = true_mi(sigma)
-                data = _draw_trial_data(spec, sigma, sweep_value, trial)
-            except NpnError:
-                for cfg in spec.estimators:
-                    records.append(TrialRecord(sweep_value, cfg.kind, math.inf, trial))
-                continue
-            for cfg in spec.estimators:
-                try:
-                    est = estimate_mi(data, cfg)
-                    err = math.inf if est.is_infinite else (est.value - truth) ** 2
-                except NpnError:
-                    err = math.inf
-                records.append(TrialRecord(sweep_value, cfg.kind, err, trial))
-    return mse_aggregate(records)
+    cells: list[list[TrialRecord]] = [[] for _ in spec.sweep]
+    for trial in range(spec.trials):
+        memo: dict[EstimatorConfig, MiEstimate | None] = {}
+        for i, (sweep_value, records) in enumerate(zip(spec.sweep, cells)):
+            if i == 0 or spec.experiment is ExperimentId.SIGMA:
+                drawn = _draw_truth(spec, sweep_value, trial)
+            records += _trial_records(spec, drawn, sweep_value, trial, memo)
+    return mse_aggregate([rec for records in cells for rec in records])
 
 
 def mse_aggregate(records: list[TrialRecord]) -> list[MseSummary]:

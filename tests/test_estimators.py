@@ -494,6 +494,31 @@ class TestKnnEntropy:
             dist, _ = cKDTree(x).query(x, k=k + 1)
             assert knn_entropy(x, k=k) == _kl_entropy(200, d, k, dist[:, k])
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_duplicate_rule_equals_the_unique_row_count(self, k):
+        # np.unique on every call, as the rule reads without the column-0 shortcut
+        def unique_rule_entropy(x):
+            if np.unique(x, axis=0, return_counts=True)[1].max() >= max(k, 2):
+                return math.inf
+            dist, _ = cKDTree(x).query(x, k=k + 1)
+            return _kl_entropy(x.shape[0], x.shape[1], k, dist[:, k])
+
+        rng = np.random.default_rng(60 + k)
+        base = rng.standard_normal((40, 3))
+        planted = base.copy()
+        planted[[5, 9, 30]] = planted[2]
+        first_only = base.copy()
+        first_only[[5, 9, 30], 0] = first_only[2, 0]
+        pair = base.copy()
+        pair[7] = pair[3]
+        signed = base.copy()
+        signed[[4, 11], 0] = [0.0, -0.0]
+        signed[11, 1:] = signed[4, 1:]
+        for x in (base, planted, first_only, pair, signed):
+            assert knn_entropy(x, k=k) == unique_rule_entropy(x)
+        # (0.0, x) and (-0.0, x) are one row repeated
+        assert (knn_entropy(signed, k=k) == math.inf) == (k <= 2)
+
     def test_two_dimensional_gaussian(self):
         rng = np.random.default_rng(18)
         chol = np.linalg.cholesky(corr2(0.0))

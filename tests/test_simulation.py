@@ -1,13 +1,14 @@
 """Tests for the simulation harness: samplers, corruption models, sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from npn import simulation
-from npn.errors import DegenerateDraw, DomainError, NotPositiveDefinite
-from npn.estimators import EstimatorConfig, EstimatorKind
+from npn.errors import DegenerateDraw, DomainError, NotPositiveDefinite, NpnError
+from npn.estimators import EstimatorConfig, EstimatorKind, estimate_mi, true_mi
 from npn.matrix_core import as_correlation, bandable_eigen_bounds, is_bandable
 from npn.rank_stats import compute_ranks
 from npn.simulation import (
@@ -342,6 +343,193 @@ class TestRunExperiment:
         out = run_experiment(spec)
         assert out[0].finite_fraction == 1.0
         assert out[1].finite_fraction < out[0].finite_fraction
+
+
+def sweep_major(spec):
+    """run_experiment's records from public pieces, the sweep as the outer loop.
+
+    Every estimator runs afresh at every sweep value. The streams are keyed
+    (seed, trial, purpose) with purposes 0 (sigma), 1 (data), 2 (outliers).
+    """
+    spec = spec.resolved()
+    records = []
+    for v in spec.sweep:
+        for trial in range(spec.trials):
+            def stream(purpose):
+                return np.random.default_rng(np.random.SeedSequence((spec.seed, trial, purpose)))
+
+            try:
+                if spec.experiment is ExperimentId.SIGMA:
+                    sigma = np.array([[1.0, v], [v, 1.0]])
+                else:
+                    sigma = sample_correlation_wishart(spec.d, stream(0))
+                truth = true_mi(sigma)
+                n = int(v) if spec.experiment is ExperimentId.SAMPLE_SIZE else spec.n
+                x = sample_gaussian(sigma, n, stream(1))
+                if spec.experiment is ExperimentId.MARGINALS:
+                    x = apply_marginal_transform(x, v, spec.transform)
+                elif spec.experiment is ExperimentId.OUTLIERS:
+                    x = inject_outliers(x, v, stream(2))
+            except NpnError:
+                records += [TrialRecord(v, cfg.kind, math.inf, trial) for cfg in spec.estimators]
+                continue
+            for cfg in spec.estimators:
+                try:
+                    est = estimate_mi(x, cfg)
+                    err = math.inf if est.is_infinite else (est.value - truth) ** 2
+                except NpnError:
+                    err = math.inf
+                records.append(TrialRecord(v, cfg.kind, err, trial))
+    return mse_aggregate(records)
+
+
+def count_estimates(monkeypatch):
+    """Count run_experiment's estimate_mi calls by estimator kind."""
+    calls = {kind: 0 for kind in EstimatorKind}
+
+    def counted(x, cfg):
+        calls[cfg.kind] += 1
+        return estimate_mi(x, cfg)
+
+    monkeypatch.setattr(simulation, "estimate_mi", counted)
+    return calls
+
+
+class TestTrialMajorLoop:
+    """run_experiment against the sweep-major oracle, and the reuse rule's guards."""
+
+    @pytest.mark.parametrize("experiment", list(ExperimentId))
+    def test_equals_the_oracle_at_toy_size(self, experiment):
+        spec = ExperimentSpec(experiment, trials=3, n=30, d=4, seed=7)
+        assert run_experiment(spec) == sweep_major(spec)
+
+    @pytest.mark.parametrize(
+        "transform", [t for t in MarginalTransform if t is not MarginalTransform.IDENTITY]
+    )
+    def test_equals_the_oracle_for_every_transform(self, transform):
+        spec = ExperimentSpec(ExperimentId.MARGINALS, trials=4, n=30, d=5,
+                              sweep=(0.0, 0.25, 0.5, 1.0), transform=transform, seed=8)
+        assert run_experiment(spec) == sweep_major(spec)
+
+    @pytest.mark.parametrize("experiment", list(ExperimentId))
+    def test_equals_the_oracle_with_a_repeated_sweep_value(self, experiment):
+        sweep = (16.0, 8.0, 16.0) if experiment is ExperimentId.SAMPLE_SIZE else (0.5, 0.0, 0.5)
+        spec = ExperimentSpec(experiment, trials=3, n=20, d=4, sweep=sweep, seed=9)
+        out = run_experiment(spec)
+        assert out == sweep_major(spec)
+        assert all(s.trials == 6 for s in out if s.sweep_value == sweep[0])
+
+    def test_equals_the_oracle_when_estimators_fail(self):
+        # n = 5 <= D = 6 leaves the plug-in's scatter singular at every alpha
+        spec = ExperimentSpec(ExperimentId.MARGINALS, trials=3, n=5, d=6,
+                              sweep=(0.0, 1.0), seed=10)
+        out = run_experiment(spec)
+        assert out == sweep_major(spec)
+        assert any(s.finite_fraction == 0.0 for s in out)
+
+    def test_rank_estimates_are_computed_once_per_trial(self, monkeypatch):
+        calls = count_estimates(monkeypatch)
+        spec = ExperimentSpec(ExperimentId.MARGINALS, trials=2, n=30, d=4,
+                              sweep=(0.0, 0.5, 1.0), seed=11)
+        run_experiment(spec)
+        assert calls == {
+            EstimatorKind.GAUSSIAN_PLUGIN: 6,
+            EstimatorKind.GAUSS: 2,
+            EstimatorKind.RHO: 2,
+            EstimatorKind.TAU: 2,
+            EstimatorKind.KNN: 6,
+        }
+
+    @pytest.mark.parametrize("experiment", [ExperimentId.SAMPLE_SIZE, ExperimentId.OUTLIERS])
+    def test_one_wishart_draw_per_trial(self, experiment, monkeypatch):
+        draws = []
+
+        def counted(d, rng):
+            draws.append(d)
+            return sample_correlation_wishart(d, rng)
+
+        monkeypatch.setattr(simulation, "sample_correlation_wishart", counted)
+        sweep = (16.0, 32.0, 64.0) if experiment is ExperimentId.SAMPLE_SIZE else (0.0, 0.1, 0.2)
+        run_experiment(ExperimentSpec(experiment, trials=4, n=30, d=3, sweep=sweep,
+                                      estimators=rho_only()))
+        assert len(draws) == 4
+
+    def test_new_ties_refuse_the_reuse(self, monkeypatch):
+        monkeypatch.setattr(MarginalTransform, "apply", lambda self, x: np.floor(x))
+        spec = ExperimentSpec(ExperimentId.MARGINALS, trials=3, n=30, d=4,
+                              sweep=(0.0, 0.5, 1.0), seed=12)
+        want = sweep_major(spec)
+        calls = count_estimates(monkeypatch)
+        assert run_experiment(spec) == want
+        assert set(calls.values()) == {9}
+
+    def test_infinite_values_refuse_the_reuse(self, monkeypatch):
+        monkeypatch.setattr(MarginalTransform, "apply",
+                            lambda self, x: np.where(x > 0, np.inf, x))
+        spec = ExperimentSpec(ExperimentId.MARGINALS, trials=3, n=30, d=4,
+                              sweep=(0.0, 0.5, 1.0), seed=13)
+        want = sweep_major(spec)
+        calls = count_estimates(monkeypatch)
+        out = run_experiment(spec)
+        assert out == want
+        assert set(calls.values()) == {9}
+        for s in out:
+            assert s.finite_fraction == (1.0 if s.sweep_value == 0.0 else 0.0), s
+
+    def test_holds_no_data_matrix_across_sweep_values(self):
+        # the plug-in runs at every alpha; the bound was fixed before the first run
+        def peak(sweep):
+            spec = ExperimentSpec(
+                ExperimentId.MARGINALS, trials=2, n=2000, d=10, sweep=sweep,
+                estimators=(EstimatorConfig(EstimatorKind.GAUSSIAN_PLUGIN),
+                            EstimatorConfig(EstimatorKind.RHO)),
+            )
+            tracemalloc.start()
+            try:
+                run_experiment(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak((0.0, 0.5, 1.0)) <= 1.05 * peak((0.0,))
+
+
+class TestKeepsOrder:
+    """The exact check behind the reuse: each column keeps its samples' order."""
+
+    CLEAN = np.array([[0.3, 1.0], [-1.2, 2.0], [0.8, 2.0], [0.1, -0.5]])
+
+    def keeps(self, bent):
+        return simulation._keeps_order(self.CLEAN, np.asarray(bent, dtype=np.float64))
+
+    def test_strictly_increasing_map_keeps_the_order(self):
+        assert self.keeps(np.exp(self.CLEAN))
+
+    def test_kept_ties_keep_the_order(self):
+        # rows 1 and 2 tie in the second column before and after the map
+        assert self.keeps(self.CLEAN ** 3)
+
+    def test_no_column_keeps_the_order(self):
+        assert simulation._keeps_order(self.CLEAN[:, :0], self.CLEAN[:, :0])
+
+    def test_new_tie_breaks_the_order(self):
+        assert not self.keeps(np.floor(self.CLEAN))
+
+    def test_broken_tie_breaks_the_order(self):
+        bent = self.CLEAN.copy()
+        bent[2, 1] = 2.5
+        assert not self.keeps(bent)
+
+    def test_swapped_pair_breaks_the_order(self):
+        bent = self.CLEAN.copy()
+        bent[[0, 2], 0] = bent[[2, 0], 0]
+        assert not self.keeps(bent)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_breaks_the_order(self, bad):
+        bent = self.CLEAN.copy()
+        bent[2, 0] = bad  # the largest clean value, so inf alone keeps the order
+        assert not self.keeps(bent)
 
 
 class TestMseAggregate:
