@@ -40,7 +40,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularScatter,
 )
-from .matrix_core import as_correlation, as_symmetric, cholesky_logdet, sym_eigen
+from .matrix_core import as_correlation, cholesky_logdet, sym_eigen
 from .rank_stats import (
     TiePolicy,
     _column_blocks,
@@ -170,11 +170,10 @@ def mi_from_latent(shat, z: float) -> MiEstimate:
     eigenvalue yields an infinite estimate. A negative or non-finite
     ``z``, or an eigenvalue past the float range, raises DomainError.
     """
-    mat = as_symmetric(shat)
+    # sym_eigen validates and symmetrizes shat, so a bad shat raises before a bad z.
+    w = sym_eigen(shat).eigenvalues
     if z < 0.0 or not math.isfinite(z):
         raise DomainError(f"regularization floor z must be >= 0, got {z}")
-    eig = sym_eigen(mat)
-    w = eig.eigenvalues
     if not np.all(np.isfinite(w)):
         raise DomainError("the latent estimate's largest eigenvalue overflows the float range")
     lam_min = float(w[-1])

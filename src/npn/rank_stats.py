@@ -6,21 +6,23 @@ point: ranks only see order. The module provides
 
 * rank computation with an explicit tie policy,
 * the standard normal quantile (probit, SciPy's ``ndtri`` behind a strict
-  (0, 1) domain check) used to Gaussianize ranks,
-* the rank-based scatter matrix of the Gaussianized data,
+  (0, 1) domain check) for callers outside the module,
+* Gaussianized ranks and their rank-based scatter matrix,
 * Spearman and Kendall rank-correlation matrices, and
 * the classical sine maps (Kruskal, 1958) taking Spearman's rho or
   Kendall's tau of a bivariate Gaussian back to its Pearson correlation.
 
+One writer, :func:`_put_ranks`, ranks the columns for every estimator:
+the ranks, the Gaussianized ranks, Spearman's float ranks and Kendall's
+integer keys. It takes one block of columns (:func:`_column_blocks`) at a
+time, so it holds at most one block's sort beside its result, and one scan
+of the runs of equal sorted values gives the ranks and every tie count.
+
 Kendall's tau uses the tau-a normalization: the pair-sign sum is divided by
 C(n, 2) and tied pairs contribute zero through sign(0) = 0. The sum is an
-exact integer on both backends: a blocked float32 GEMM of pair signs for
-small n, and for large n Knight's merge construction on integer rank keys,
-with the column pairs batched as the rows of one array. One scan of the
-runs of equal sorted values gives the ranks and every tie count. Every
-pass that sorts the columns takes them one block at a time
-(:func:`_column_blocks`), so it holds at most one n x D array beside its
-input.
+exact integer from either private kernel: a blocked float32 GEMM of pair
+signs for small n, and for large n Knight's merge construction on integer
+rank keys, with the column pairs batched as the rows of one array.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ __all__ = [
 ]
 
 
-# Sign entries per block of the naive Kendall backend, and the largest
+# Sign entries per block of the quadratic Kendall kernel, and the largest
 # integer below which every float32 partial sum of its GEMM is exact.
 _SIGN_BLOCK = 1 << 14
 _FLOAT32_EXACT = 1 << 24
-# Key entries (column pairs x n) per chunk of the mergesort Kendall backend.
+# Key entries (column pairs x n) per chunk of the merge Kendall kernel.
 _MERGE_BLOCK = 1 << 13
 # Entries per block of whole columns in every pass that sorts the columns.
 _COLUMN_BLOCK = 1 << 16
@@ -202,21 +204,19 @@ def gaussianize(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
 
     Entry (i, j) becomes probit(R[i, j] / (n + 1)). For a distinct-valued
     column the sorted output is the fixed symmetric grid
-    {probit(i / (n + 1)) : i = 1..n}, so the column mean is zero. The
-    quantiles are written into the one float64 result one block of columns
-    (:func:`_column_blocks`) at a time, taken in sorted order, where each
-    block's ranks are contiguous.
+    {probit(i / (n + 1)) : i = 1..n}, so the column mean is zero. The ranks
+    are written into the one float64 result (:func:`_put_ranks`), then
+    scaled and mapped through SciPy's ``ndtri`` in place. The scaled ranks
+    lie in [1 / (n + 1), n / (n + 1)] by construction, so they skip
+    :func:`probit`'s domain check.
     """
     m = ensure_data_matrix(x)
-    n, d = m.shape
+    n = m.shape[0]
     if n < 2:
         raise DomainError("gaussianization needs at least 2 samples")
-    out = np.empty((n, d))
-    for cols in _column_blocks(n, d):
-        order, ranks = _sorted_ranks(m[:, cols], policy)
-        np.put_along_axis(out[:, cols].T, order, probit(ranks / (n + 1.0)), axis=1)
-        del order, ranks
-    return out
+    out = _put_ranks(m, policy, np.empty(m.shape))
+    out /= n + 1.0
+    return ndtri(out, out=out)
 
 
 def sigma_g(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
@@ -269,55 +269,57 @@ def spearman_matrix(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     return corr
 
 
-def kendall_matrix(x, backend: str = "auto") -> np.ndarray:
+def kendall_matrix(x) -> np.ndarray:
     """Kendall tau-a rank-correlation matrix.
 
     Entry (j, k) is the sum over unordered sample pairs of
     sign(X[a, j] - X[b, j]) * sign(X[a, k] - X[b, k]) divided by C(n, 2).
-    Two backends produce identical values. ``naive`` takes a block of rows
-    a at a time and forms, for every column at once, the float32 signs
-    (X[a] > X[b]) - (X[a] < X[b]) against every later row b, then adds
-    their Gram matrix S^T S to a float64 total. Every sum is an integer
-    below 2^24, so the float32 GEMM is exact, and a block holds about 2^14
-    signs whatever n is. ``mergesort`` ranks the columns once and counts
-    each pair's discordant pairs in O(n log^2 n) with Knight's
-    construction. Column pairs are the rows of an integer array, about
-    2^13 entries at a time: one row sort orders the samples by column j,
-    ties broken by column k, and the inversions of column k in that order
-    come from a bottom-up merge whose every level is one more row sort.
-    ``auto`` takes mergesort from n >= 64 + 4 D on, near the crossovers
-    measured on one core: n of about 65 at D = 2 and 4, 85 at D = 8, 130
-    at D = 16 and 170 at D = 25.
+    Two private kernels give the same exact integer sums: the quadratic
+    :func:`_sign_gram` below n = 64 + 4 D, and Knight's merge construction
+    :func:`_pair_sign_sums` from there on. The switch sits near the
+    crossovers measured on one core: n of about 65 at D = 2 and 4, 85 at
+    D = 8, 130 at D = 16 and 170 at D = 25.
     """
     m = ensure_data_matrix(x)
     n, d = m.shape
     if n < 2:
         raise DomainError("Kendall correlation needs at least 2 samples")
-    if backend == "auto":
-        backend = "mergesort" if n >= 64 + 4 * d else "naive"
-    if backend not in ("naive", "mergesort"):
-        raise DomainError(f"unknown Kendall backend {backend!r}")
-
-    total = np.zeros((d, d))
-    if backend == "naive":
-        if n > _FLOAT32_EXACT:
-            raise DomainError(f"naive Kendall backend is exact for n <= 2^24, got n={n}")
-        rows = max(1, _SIGN_BLOCK // (n * d))
-        # Keep each unordered pair once: row a + i against rows b > a + i.
-        later = np.triu(np.ones((min(rows, n),) * 2, np.float32), 1)[:, :, None]
-        for a in range(0, n, rows):
-            lo, hi = m[a:a + rows, None, :], m[None, a:, :]
-            signs = np.subtract(lo > hi, lo < hi, dtype=np.float32)
-            r = signs.shape[0]
-            signs[:, :r] *= later[:r, :r]
-            signs = signs.reshape(-1, d)
-            total += signs.T @ signs
-    else:
+    if n >= 64 + 4 * d:
         j, k = np.triu_indices(d, 1)
+        total = np.zeros((d, d))
         total[j, k] = total[k, j] = _pair_sign_sums(m, j, k)
+    else:
+        total = _sign_gram(m)
     out = total / (n * (n - 1) // 2)
     np.fill_diagonal(out, 1.0)
     return out
+
+
+def _sign_gram(m: np.ndarray) -> np.ndarray:
+    """Pair-sign sums of every column pair of a data matrix, as a float64 Gram matrix.
+
+    Takes a block of rows a at a time and forms, for every column at once,
+    the float32 signs (X[a] > X[b]) - (X[a] < X[b]) against every later row
+    b, then adds their Gram matrix S^T S to a float64 total. Every sum is an
+    integer below 2^24, so the float32 GEMM is exact, and a block holds
+    about ``_SIGN_BLOCK`` signs whatever n is. Entry (j, j) is C(n, 2) less
+    the pairs tied in column j.
+    """
+    n, d = m.shape
+    if n > _FLOAT32_EXACT:
+        raise DomainError(f"the pair-sign GEMM is exact for n <= 2^24, got n={n}")
+    rows = max(1, _SIGN_BLOCK // (n * d))
+    # Keep each unordered pair once: row a + i against rows b > a + i.
+    later = np.triu(np.ones((min(rows, n),) * 2, np.float32), 1)[:, :, None]
+    total = np.zeros((d, d))
+    for a in range(0, n, rows):
+        lo, hi = m[a:a + rows, None, :], m[None, a:, :]
+        signs = np.subtract(lo > hi, lo < hi, dtype=np.float32)
+        r = signs.shape[0]
+        signs[:, :r] *= later[:r, :r]
+        signs = signs.reshape(-1, d)
+        total += signs.T @ signs
+    return total
 
 
 def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -327,12 +329,12 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     broken by column k, the discordant pairs are the strict inversions of
     column k, and the sum is C(n, 2) - T_j - T_k + T_jk - 2 * discordant,
     where T counts the pairs tied in a column and T_jk those tied in both.
-    One run scan (:func:`_run_ends`) gives the literal ranks and every tie
-    count: T_j from the column's sorted values, T_jk from the sorted
-    composite key. The keys are ranked one block of columns
-    (:func:`_column_blocks`) at a time, so only one block's sort is held
-    beside them. The pairs are the rows of one integer array, a chunk of
-    about ``_MERGE_BLOCK`` entries at a time. The integers are exact.
+    The keys are the literal ranks of :func:`_put_ranks`. A row's sum of
+    ends (:func:`_run_ends`) does not depend on the order of its entries,
+    so T_j is the sum of column j's ranks less n (n + 1) / 2, and T_jk
+    comes from one run scan of the sorted composite key. The pairs are the
+    rows of one integer array, a chunk of about ``_MERGE_BLOCK`` entries at
+    a time, and the integers are exact. With j = k the sum is C(n, 2) - T_j.
     """
     n, d = m.shape
     untied = n * (n + 1) // 2
@@ -340,13 +342,9 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     # merge levels fit in 2 vb + 1, so they are int32 up to n = 2^15.
     vb = (n - 1).bit_length()
     keys = np.empty((d, n), np.int32 if 2 * vb + 1 < 32 else np.int64)
-    ties = np.empty(d, np.int64)
-    for cols in _column_blocks(n, d):
-        order, ends = _sorted_ranks(m[:, cols], TiePolicy.LITERAL)
-        ties[cols] = ends.sum(axis=1, dtype=np.int64) - untied
-        ends -= 1
-        np.put_along_axis(keys[cols], order, ends, axis=1)
-        del order, ends
+    _put_ranks(m, TiePolicy.LITERAL, keys.T)
+    ties = keys.sum(axis=1, dtype=np.int64) - untied
+    keys -= 1
     rows = max(1, _MERGE_BLOCK // n)
     sums = np.empty(j.size, np.int64)
     for lo in range(0, j.size, rows):
@@ -402,8 +400,9 @@ def latent_from_rank_corr(m, kind: str) -> np.ndarray:
     For a bivariate Gaussian with Pearson correlation s, Spearman's rho
     satisfies s = 2 sin(pi rho / 6) and Kendall's tau satisfies
     s = sin(pi tau / 2); both identities survive strictly increasing
-    marginal transforms. This applies the chosen map entrywise and restores
-    an exact unit diagonal.
+    marginal transforms. This applies the chosen map entrywise to the
+    symmetrized input and restores an exact unit diagonal, so the result
+    is exactly symmetric.
 
     Parameters
     ----------
@@ -431,4 +430,4 @@ def latent_from_rank_corr(m, kind: str) -> np.ndarray:
         raise DomainError(f"unknown rank correlation kind {kind!r}")
     out = np.clip(out, -1.0, 1.0)
     np.fill_diagonal(out, 1.0)
-    return as_symmetric(out)
+    return out

@@ -160,7 +160,7 @@ class ExperimentSpec:
 
     def _check_sweep_value(self, v: float) -> None:
         if self.experiment is ExperimentId.SAMPLE_SIZE:
-            if v != int(v) or v < 2:
+            if not math.isfinite(v) or v != int(v) or v < 2:
                 raise DomainError(f"sample-size sweep values must be integers >= 2, got {v}")
         elif self.experiment in (ExperimentId.MARGINALS, ExperimentId.OUTLIERS):
             if not 0.0 <= v <= 1.0:

@@ -24,7 +24,7 @@ from npn.matrix_core import (
     project_to_cone,
     sym_eigen,
 )
-from npn.rank_stats import compute_ranks, kendall_matrix, spearman_matrix
+from npn.rank_stats import _pair_sign_sums, _sign_gram, compute_ranks, spearman_matrix
 from npn.simulation import (
     ExperimentId,
     ExperimentSpec,
@@ -172,12 +172,14 @@ def test_criterion_5_dual_route_kernel_checks():
     rank-difference formula, both log-det routes agree, and the eigenvalue
     clamp is the Frobenius-closest point of the floored cone."""
     rng = np.random.default_rng(1000)
-    # Kendall backends, with heavy ties in half the columns
+    # Kendall's merge and quadratic kernels, with heavy ties in half the columns
+    j, k = np.triu_indices(5)
+    pairs = 200 * 199 // 2
     for _ in range(100):
         x = rng.standard_normal((200, 5))
         x[:, ::2] = np.round(x[:, ::2], 1)
-        fast = kendall_matrix(x, backend="mergesort")
-        slow = kendall_matrix(x, backend="naive")
+        fast = _pair_sign_sums(x, j, k) / pairs
+        slow = _sign_gram(x)[j, k] / pairs
         assert np.max(np.abs(fast - slow)) <= 1e-12
     # Spearman identity on tie-free data
     n = 50

@@ -732,6 +732,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--experiment", "1", "--grid", grid]) == 1
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("argv", [["--grid", "inf"], ["--grid", "nan"], ["--grid", "1e400"],
+                                      ["--grid=-inf"]])
+    def test_non_finite_sample_size_grid_is_an_error(self, capsys, argv):
+        assert main(["simulate", "--experiment", "1", "--trials", "1", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestBandableCommand:
     def test_reference_bounds(self, capsys):

@@ -150,6 +150,22 @@ class TestMiFromLatent:
         with pytest.raises(DomainError, match="regularization floor z must be >= 0"):
             mi_from_latent(np.eye(3), z)
 
+    @pytest.mark.parametrize(
+        ("shat", "z", "message"),
+        [
+            ([[1.0, math.nan], [math.nan, 1.0]], 1e-3, "matrix contains non-finite entries"),
+            (np.ones((2, 3)), 1e-3, "expected a square matrix, got shape (2, 3)"),
+            (np.eye(2), -1.0, "regularization floor z must be >= 0, got -1.0"),
+            ([[1.0, math.nan], [math.nan, 1.0]], -1.0, "matrix contains non-finite entries"),
+            (np.ones((2, 3)), math.nan, "expected a square matrix, got shape (2, 3)"),
+        ],
+        ids=["nan", "non-square", "bad-z", "nan-and-bad-z", "non-square-and-bad-z"],
+    )
+    def test_a_bad_matrix_raises_before_a_bad_floor(self, shat, z, message):
+        with pytest.raises(DomainError) as info:
+            mi_from_latent(shat, z)
+        assert type(info.value) is DomainError and str(info.value) == message
+
     def test_entries_near_the_float_limit(self):
         # symmetrizing overflowed with a RuntimeWarning; the largest
         # eigenvalue, 2e308, is past the float range and gave a silent -inf

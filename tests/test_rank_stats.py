@@ -21,6 +21,8 @@ from npn.matrix_core import as_symmetric
 from npn.rank_stats import (
     _MERGE_BLOCK,
     TiePolicy,
+    _pair_sign_sums,
+    _sign_gram,
     compute_ranks,
     ensure_data_matrix,
     gaussianize,
@@ -82,6 +84,17 @@ def brute_force_kendall(x, y):
         for j in range(i + 1, n):
             total += np.sign(x[i] - x[j]) * np.sign(y[i] - y[j])
     return total / (n * (n - 1) / 2)
+
+
+def kernel_sums(x):
+    """Both Kendall kernels' pair-sign sums over every column pair j <= k."""
+    j, k = np.triu_indices(x.shape[1])
+    return _sign_gram(x)[j, k], _pair_sign_sums(x, j, k)
+
+
+def assert_kernels_agree(x):
+    gemm, merge = kernel_sums(x)
+    assert np.array_equal(gemm, merge)
 
 
 class TestEnsureDataMatrix:
@@ -251,6 +264,20 @@ class TestGaussianize:
         x = rng.standard_normal((30, 3))
         np.testing.assert_array_equal(gaussianize(x), gaussianize(np.exp(x)))
 
+    @pytest.mark.parametrize("block", [None, 300, 900], ids=["whole", "one-column", "three-columns"])
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_equals_probit_of_scaled_ranks(self, policy, block, monkeypatch):
+        # the in-place ndtri of the written ranks against the domain-checked probit
+        rng = np.random.default_rng(30)
+        n = 300
+        x = rng.standard_normal((n, 7))
+        x[:, 1::2] = np.round(x[:, 1::2], 1)  # ties
+        if block is not None:
+            monkeypatch.setattr(rank_stats, "_COLUMN_BLOCK", block)
+        want = probit(compute_ranks(x, policy) / (n + 1))
+        assert np.array_equal(gaussianize(x, policy), want)
+        assert np.array_equal(sigma_g(x, policy), as_symmetric(want.T @ want / n))
+
 
 class TestSigmaG:
     # second moment of the n-point quantile grid, frozen from the oracle
@@ -369,29 +396,21 @@ class TestKendall:
         out = kendall_matrix(x)
         assert out[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
-    @pytest.mark.parametrize("backend", ["naive", "mergesort"])
-    def test_backends_match_counting(self, backend):
+    def test_kernels_match_counting(self):
         rng = np.random.default_rng(17)
+        pairs = 30 * 29 // 2
         for _ in range(10):
             x = np.round(rng.standard_normal((30, 3)), 1)
-            out = kendall_matrix(x, backend=backend)
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    want = brute_force_kendall(x[:, a], x[:, b])
-                    assert out[a, b] == pytest.approx(want, abs=1e-13)
+            want = [brute_force_kendall(x[:, a], x[:, b]) for a, b in zip(*np.triu_indices(3))]
+            for sums in kernel_sums(x):
+                np.testing.assert_allclose(sums / pairs, want, rtol=0, atol=1e-13)
 
-    def test_backends_agree_on_larger_inputs(self):
+    def test_kernels_agree_on_larger_inputs(self):
         rng = np.random.default_rng(18)
         for _ in range(5):
             x = rng.standard_normal((300, 4))
             x[:, 2] = np.round(x[:, 2], 1)
-            fast = kendall_matrix(x, backend="mergesort")
-            slow = kendall_matrix(x, backend="naive")
-            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(DomainError):
-            kendall_matrix(np.random.default_rng(0).standard_normal((10, 2)), backend="quadratic")
+            assert_kernels_agree(x)
 
     @pytest.mark.parametrize(
         ("n_values", "d"),
@@ -400,22 +419,26 @@ class TestKendall:
             ((71, 72), 2), ((95, 96), 8), ((163, 164), 25),
         ],
     )
-    def test_backends_bit_identical_on_tied_data(self, n_values, d):
-        # n on both sides of auto's switch: the first three cases straddle the
-        # former n = 100 D, the last three today's n = 64 + 4 D
+    def test_kernels_bit_identical_on_tied_data(self, n_values, d):
+        # n on both sides of the kernel switch: the first three cases straddle
+        # the former n = 100 D, the last three today's n = 64 + 4 D
         rng = np.random.default_rng(19)
+        pairs = np.triu_indices(d, 1)
         for n in n_values:
             x = np.round(rng.standard_normal((n, d)), 1)
-            naive = kendall_matrix(x, backend="naive")
-            assert np.array_equal(naive, kendall_matrix(x, backend="mergesort"))
-            assert np.array_equal(naive, kendall_matrix(x))
+            assert_kernels_agree(x)
+            want = np.zeros((d, d))
+            want[pairs] = want[pairs[::-1]] = _pair_sign_sums(x, *pairs) / (n * (n - 1) // 2)
+            np.fill_diagonal(want, 1.0)
+            assert np.array_equal(kendall_matrix(x), want)
 
     @pytest.mark.parametrize(("n", "d"), [(_MERGE_BLOCK // 8 + 1, 6), (_MERGE_BLOCK // 3, 5)])
     def test_mergesort_with_a_partial_last_chunk(self, n, d):
         pairs, rows = d * (d - 1) // 2, _MERGE_BLOCK // n
         assert rows > 1 and pairs % rows != 0
         x = np.round(np.random.default_rng(22).standard_normal((n, d)), 1)
-        assert np.array_equal(kendall_matrix(x, backend="naive"), kendall_matrix(x, backend="mergesort"))
+        j, k = np.triu_indices(d, 1)
+        assert np.array_equal(_sign_gram(x)[j, k], _pair_sign_sums(x, j, k))
 
     @pytest.mark.parametrize(("m", "copies"), [(4096, 8), (3641, 9)])
     def test_mergesort_on_both_sides_of_the_key_width_switch(self, m, copies):
@@ -425,11 +448,10 @@ class TestKendall:
         # gives the exact sum of all n = c m rows.
         rng = np.random.default_rng(23)
         small = np.round(rng.standard_normal((m, 2)), 1)
-        small_sum = round(kendall_matrix(small, backend="naive")[0, 1] * (m * (m - 1) // 2))
+        small_sum = _sign_gram(small)[0, 1]
         big = rng.permutation(np.repeat(small, copies, axis=0))
-        n = m * copies
-        want = copies * copies * small_sum / (n * (n - 1) // 2)
-        assert kendall_matrix(big, backend="mergesort")[0, 1] == want
+        j, k = np.array([0]), np.array([1])
+        assert _pair_sign_sums(big, j, k)[0] == copies * copies * small_sum
 
     @pytest.mark.parametrize(
         "x",
@@ -442,25 +464,26 @@ class TestKendall:
         ids=["constant-column", "n=2", "n=2-tied", "d=1"],
     )
     def test_mergesort_edge_shapes(self, x):
-        assert np.array_equal(kendall_matrix(x, backend="naive"), kendall_matrix(x, backend="mergesort"))
+        assert_kernels_agree(x)
 
     def test_mergesort_memory_stays_bounded(self):
         # one chunk of column pairs at a time, not all D (D - 1) / 2 of them
         x = np.random.default_rng(26).standard_normal((20_000, 4))
+        pairs = np.triu_indices(4, 1)
         tracemalloc.start()
         try:
-            kendall_matrix(x, backend="mergesort")
+            _pair_sign_sums(x, *pairs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
 
-    def test_naive_backend_memory_stays_bounded(self):
+    def test_gemm_kernel_memory_stays_bounded(self):
         # one block of signs at a time, not D sign matrices of n x n
         x = np.random.default_rng(20).standard_normal((1500, 8))
         tracemalloc.start()
         try:
-            kendall_matrix(x, backend="naive")
+            _sign_gram(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -475,7 +498,7 @@ class TestMergesortPairSignSum:
         n = len(x)
         want = sum(np.sign(x[a, 0] - x[b, 0]) * np.sign(x[a, 1] - x[b, 1])
                    for a in range(n) for b in range(a + 1, n))
-        assert kendall_matrix(x, backend="mergesort")[0, 1] == want / (n * (n - 1) // 2)
+        assert _pair_sign_sums(x, np.array([0]), np.array([1]))[0] == want
 
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=120))
     @settings(max_examples=120, deadline=None)
@@ -511,7 +534,7 @@ class TestColumnBlocks:
             lambda: gaussianize(x, policy),
             lambda: sigma_g(x, policy),
             lambda: spearman_matrix(x, policy),
-            lambda: kendall_matrix(x, backend="mergesort"),
+            lambda: kendall_matrix(x),  # n >= 64 + 4 D: the merge kernel
         )
         whole = [fn() for fn in fns]
         # one column per block, then three columns and a partial last block
@@ -525,8 +548,8 @@ class TestColumnBlocks:
     @pytest.mark.parametrize(
         "fn, bound",
         [
-            (lambda x: gaussianize(x, TiePolicy.LITERAL), 1.75),
-            (lambda x: gaussianize(x, TiePolicy.MIDRANK), 1.75),
+            (lambda x: gaussianize(x, TiePolicy.LITERAL), 1.4),
+            (lambda x: gaussianize(x, TiePolicy.MIDRANK), 1.4),
             (lambda x: spearman_matrix(x, TiePolicy.LITERAL), 1.75),
             (lambda x: spearman_matrix(x, TiePolicy.MIDRANK), 1.75),
             (kendall_matrix, 1.0),
@@ -536,7 +559,9 @@ class TestColumnBlocks:
     )
     def test_peak_memory_holds_one_matrix_beside_the_input(self, fn, bound):
         # one n x D float64 array (Kendall: int32 keys) and one block of
-        # columns at a time; the input is traced by neither side
+        # columns at a time; the input is traced by neither side. gaussianize
+        # ranks, scales and maps its result in place, so it holds one block's
+        # sort beside the result, which has the input's size.
         x = np.round(np.random.default_rng(28).standard_normal((20_000, 25)), 2)
         tracemalloc.start()
         try:

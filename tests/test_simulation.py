@@ -193,6 +193,12 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             ExperimentSpec(ExperimentId.SAMPLE_SIZE, **kwargs)
 
+    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_rejects_non_finite_sample_size(self, v):
+        # int(v) raised OverflowError or ValueError before the range check
+        with pytest.raises(DomainError, match="sample-size sweep values must be integers >= 2"):
+            ExperimentSpec(ExperimentId.SAMPLE_SIZE, sweep=(v,))
+
     def test_rejects_alpha_outside_unit_interval(self):
         with pytest.raises(DomainError):
             ExperimentSpec(ExperimentId.MARGINALS, sweep=(1.5,))
