@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the ``tracemalloc`` peak of each stage of ``npn estimate`` on a CSV file.
+"""Print the wall time and ``tracemalloc`` peak of each stage of ``npn estimate`` on a CSV file.
 
     python3 scripts/stage_peaks.py DATA.csv [CHECKOUT ...] [--estimators gaussian,gauss,rho,tau]
 
@@ -11,9 +11,11 @@ peaks leave it out; ``load_csv``'s peak includes it. The last row is the
 whole ``npn estimate`` command run in-process, which is how the benchmark's
 ``peak_alloc_mb`` counts it.
 
-Each checkout (this script's own when none is given) is measured in a fresh
-process with its own ``src`` on the path, and the table has one column per
-checkout, in MB (10^6 bytes).
+A stage's time is the least of three untraced calls, and its peak comes
+from one more call under ``tracemalloc``, which slows allocation. Each
+checkout (this script's own when none is given) is measured in a fresh
+process with its own ``src`` on the path, and the table has two columns per
+checkout: seconds and MB (10^6 bytes).
 """
 
 from __future__ import annotations
@@ -23,19 +25,26 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve()
 DEFAULT_ESTIMATORS = "gaussian,gauss,rho,tau"
+REPEATS = 3
 
 
-def peak(fn, *args, **kwargs):
-    """``fn``'s result and the peak bytes ``tracemalloc`` counts while it runs."""
+def measure(fn, *args, **kwargs):
+    """``fn``'s result and its (least wall seconds, traced peak bytes) over REPEATS + 1 calls."""
+    seconds = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn(*args, **kwargs)
+        seconds.append(time.perf_counter() - start)
     tracemalloc.start()
     try:
         out = fn(*args, **kwargs)
-        return out, tracemalloc.get_traced_memory()[1]
+        return out, (min(seconds), tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
 
@@ -46,24 +55,24 @@ def child(csv: Path, estimators: str) -> None:
     from npn import cli
     from npn.estimators import EstimatorConfig, EstimatorKind, entropy_npn, estimate_mi
 
-    peaks = {}
-    data, peaks["load_csv"] = peak(cli.load_csv, csv)
+    stages = {}
+    data, stages["load_csv"] = measure(cli.load_csv, csv)
     rho = None
     for name in estimators.split(","):
         cfg = EstimatorConfig(EstimatorKind(name))
-        est, peaks[f"estimate_mi {name}"] = peak(estimate_mi, data, cfg)
+        est, stages[f"estimate_mi {name}"] = measure(estimate_mi, data, cfg)
         rho = est if name == "rho" else rho
     if rho is None:
         rho = estimate_mi(data, EstimatorConfig(EstimatorKind.RHO))
-    _, peaks["entropy_npn (mi=)"] = peak(entropy_npn, data, mi=rho)
+    _, stages["entropy_npn (mi=)"] = measure(entropy_npn, data, mi=rho)
     del data
     with tempfile.TemporaryDirectory(prefix="stage-peaks-") as work:
         argv = ["estimate", "--input", str(csv), "--estimators", estimators, "--entropy",
                 "--out", str(Path(work) / "out.json")]
-        code, peaks["npn estimate"] = peak(cli.main, argv)
+        code, stages["npn estimate"] = measure(cli.main, argv)
     if code != 0:
         sys.exit(f"npn estimate exited with {code}")
-    print(json.dumps(peaks))
+    print(json.dumps(stages))
 
 
 def run_side(checkout: Path, csv: Path, estimators: str) -> dict:
@@ -89,9 +98,13 @@ def main(argv=None) -> int:
     checkouts = args.checkouts or [SCRIPT.parent.parent]
     sides = [run_side(c.resolve(), csv, args.estimators) for c in checkouts]
     stage_width = max(len(stage) for stage in sides[0])
-    print(f"{'stage':<{stage_width}}  " + "  ".join(f"{str(c):>12}" for c in checkouts))
+    for i, c in enumerate(checkouts):
+        print(f"side {i}: {c}")
+    print(f"{'stage':<{stage_width}}" + "".join(
+        f"  {f'{i} s':>7}  {f'{i} MB':>7}" for i in range(len(sides))))
     for stage in sides[0]:
-        print(f"{stage:<{stage_width}}  " + "  ".join(f"{s[stage] / 1e6:>12.2f}" for s in sides))
+        print(f"{stage:<{stage_width}}" + "".join(
+            f"  {s[stage][0]:>7.3f}  {s[stage][1] / 1e6:>7.2f}" for s in sides))
     return 0
 
 

@@ -44,10 +44,10 @@ from .matrix_core import as_correlation, cholesky_logdet, sym_eigen
 from .rank_stats import (
     TiePolicy,
     _column_blocks,
+    _sine_map,
     _sorted_rows,
     ensure_data_matrix,
     kendall_matrix,
-    latent_from_rank_corr,
     sigma_g,
     spearman_matrix,
 )
@@ -167,8 +167,12 @@ def mi_from_latent(shat, z: float) -> MiEstimate:
     matrices with eigenvalues >= z (clamping from the eigendecomposition)
     and the returned value is -1/2 times the projected log-determinant.
     With ``z == 0`` no projection is applied and a non-positive smallest
-    eigenvalue yields an infinite estimate. A negative or non-finite
-    ``z``, or an eigenvalue past the float range, raises DomainError.
+    eigenvalue yields an infinite estimate. Non-positive there means at or
+    below D * eps * max |eigenvalue|, ``np.linalg.matrix_rank``'s tolerance,
+    so a singular matrix (gauss's scatter when n <= D) gives ``inf``
+    whatever the sign of its roundoff-sized smallest eigenvalue. A negative
+    or non-finite ``z``, or an eigenvalue past the float range, raises
+    DomainError.
     """
     # sym_eigen validates and symmetrizes shat, so a bad shat raises before a bad z.
     w = sym_eigen(shat).eigenvalues
@@ -177,11 +181,12 @@ def mi_from_latent(shat, z: float) -> MiEstimate:
     if not np.all(np.isfinite(w)):
         raise DomainError("the latent estimate's largest eigenvalue overflows the float range")
     lam_min = float(w[-1])
-    if z == 0.0 and lam_min <= 0.0:
+    if z == 0.0 and lam_min <= w.size * np.finfo(np.float64).eps * float(np.max(np.abs(w))):
         return MiEstimate(value=math.inf, lambda_min=lam_min, clamped=0)
     clamped = int(np.sum(w < z))
     logdet = float(np.sum(np.log(np.maximum(w, z))))
-    return MiEstimate(value=-0.5 * logdet, lambda_min=lam_min, clamped=clamped)
+    # 0.0 - x, not -x: a log-determinant of +0.0 gives 0.0, not -0.0.
+    return MiEstimate(value=0.0 - 0.5 * logdet, lambda_min=lam_min, clamped=clamped)
 
 
 def plugin_logdet_bias(n: int, d: int) -> float:
@@ -266,9 +271,9 @@ def estimate_mi(x, cfg: EstimatorConfig) -> MiEstimate:
             diag_second_moment=float(np.mean(np.diag(scatter))),
         )
     if kind is EstimatorKind.RHO:
-        latent = latent_from_rank_corr(spearman_matrix(m, cfg.tie_policy), "spearman")
+        latent = _sine_map(spearman_matrix(m, cfg.tie_policy), "spearman")
     elif kind is EstimatorKind.TAU:
-        latent = latent_from_rank_corr(kendall_matrix(m), "kendall")
+        latent = _sine_map(kendall_matrix(m), "kendall")
     else:
         raise DomainError(f"unknown estimator kind {kind!r}")
     est = mi_from_latent(latent, cfg.effective_z)

@@ -22,12 +22,16 @@ Kendall's tau uses the tau-a normalization: the pair-sign sum is divided by
 C(n, 2) and tied pairs contribute zero through sign(0) = 0. The sum is an
 exact integer from either private kernel: a blocked float32 GEMM of pair
 signs for small n, and for large n Knight's merge construction on integer
-rank keys, with the column pairs batched as the rows of one array.
+rank keys, with the column pairs batched as the rows of one array. On a
+large input the merge kernel's chunks of pairs run on a thread pool, one
+worker per available core, and the result does not depend on the core
+count.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 
 import numpy as np
 from scipy.special import ndtri
@@ -54,6 +58,11 @@ _SIGN_BLOCK = 1 << 14
 _FLOAT32_EXACT = 1 << 24
 # Key entries (column pairs x n) per chunk of the merge Kendall kernel.
 _MERGE_BLOCK = 1 << 13
+# From _THREAD_WORK key entries on, the merge kernel maps its chunks over a
+# thread pool, and the chunks in flight hold about _THREAD_BLOCK entries
+# between them, whatever the core count.
+_THREAD_WORK = 1 << 20
+_THREAD_BLOCK = 1 << 17
 # Entries per block of whole columns in every pass that sorts the columns.
 _COLUMN_BLOCK = 1 << 16
 
@@ -278,7 +287,9 @@ def kendall_matrix(x) -> np.ndarray:
     :func:`_sign_gram` below n = 64 + 4 D, and Knight's merge construction
     :func:`_pair_sign_sums` from there on. The switch sits near the
     crossovers measured on one core: n of about 65 at D = 2 and 4, 85 at
-    D = 8, 130 at D = 16 and 170 at D = 25.
+    D = 8, 130 at D = 16 and 170 at D = 25. On a large input (column pairs
+    times n of 2^20 or more) the merge kernel uses every core the process
+    may run on, and its result is the same bits on any number of them.
     """
     m = ensure_data_matrix(x)
     n, d = m.shape
@@ -333,65 +344,120 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     ends (:func:`_run_ends`) does not depend on the order of its entries,
     so T_j is the sum of column j's ranks less n (n + 1) / 2, and T_jk
     comes from one run scan of the sorted composite key. The pairs are the
-    rows of one integer array, a chunk of about ``_MERGE_BLOCK`` entries at
-    a time, and the integers are exact. With j = k the sum is C(n, 2) - T_j.
+    rows of one integer array, one chunk (:func:`_merge_chunks`) at a time,
+    and the integers are exact. With j = k the sum is C(n, 2) - T_j.
+
+    The keys and tie counts are built once and only read by the chunks, so
+    on a large input the chunks run on a thread pool, one worker per
+    available core; NumPy's sorts and ufunc loops release the GIL. Every
+    pair's sum is an exact integer of its own chunk, so the result does not
+    depend on the worker count, and the pool is closed before returning.
     """
     n, d = m.shape
     untied = n * (n + 1) // 2
     # Ranks minus one, in vb bits: the keys of the composite sort and of the
-    # merge levels fit in 2 vb + 1, so they are int32 up to n = 2^15.
+    # merge levels fit in 2 vb + 1, so they are int32 up to n = 2^15, and
+    # the ranks held for them uint16.
     vb = (n - 1).bit_length()
-    keys = np.empty((d, n), np.int32 if 2 * vb + 1 < 32 else np.int64)
+    narrow = 2 * vb + 1 < 32
+    keys = np.empty((d, n), np.uint16 if narrow else np.int64)
     _put_ranks(m, TiePolicy.LITERAL, keys.T)
     ties = keys.sum(axis=1, dtype=np.int64) - untied
     keys -= 1
-    rows = max(1, _MERGE_BLOCK // n)
+    slots = np.arange(n, dtype=np.int32 if narrow else np.int64)
+    workers, rows = _merge_chunks(j.size, n)
     sums = np.empty(j.size, np.int64)
-    for lo in range(0, j.size, rows):
+
+    def chunk(lo: int) -> None:
         a, b = j[lo:lo + rows], k[lo:lo + rows]
-        key = keys[a] << vb
+        key = keys[a].astype(slots.dtype, copy=False)
+        key <<= vb
         key |= keys[b]
         key.sort(axis=1)
         joint = 0
         if np.any((ties[a] > 0) & (ties[b] > 0)):
             joint = _run_ends(key[:, 1:] != key[:, :-1]).sum(axis=1, dtype=np.int64) - untied
         key &= (1 << vb) - 1
-        sums[lo:lo + rows] = joint - 2 * _row_inversions(key, vb)
+        sums[lo:lo + rows] = joint - 2 * _row_inversions(key, vb, slots)
+
+    starts = range(0, j.size, rows)
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(chunk, starts))
+    else:
+        for lo in starts:
+            chunk(lo)
     return n * (n - 1) // 2 - ties[j] - ties[k] + sums
 
 
-def _row_inversions(v: np.ndarray, vb: int) -> np.ndarray:
+def _merge_chunks(pairs: int, n: int) -> tuple[int, int]:
+    """Workers and column pairs per chunk for the merge kernel on ``pairs`` rows of n keys.
+
+    Below ``_THREAD_WORK`` key entries, or on one core, one thread takes
+    chunks of about ``_MERGE_BLOCK`` entries. Above it every available core
+    gets a worker, and the chunks shrink as the workers grow, so the chunks
+    in flight hold about ``_THREAD_BLOCK`` entries, or two rows of n when
+    those are larger.
+    """
+    cores = _available_cores() if pairs * n >= _THREAD_WORK else 1
+    if cores < 2:
+        return 1, max(1, _MERGE_BLOCK // n)
+    workers = min(cores, max(2, _THREAD_BLOCK // n))
+    return workers, max(1, _THREAD_BLOCK // (workers * n))
+
+
+def _available_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_inversions(v: np.ndarray, vb: int, slots: np.ndarray) -> np.ndarray:
     """Strict inversions (a < b with v[a] > v[b]) in each row of ``v``.
 
-    ``v`` holds integers in [0, 2^vb) and is overwritten. The merge runs
-    bottom up. At level l the key of slot p is block | value | half: the
-    block is p with its low l + 1 bits cleared, and the half is bit l of
-    p. One in-place row sort merges the two sorted halves of every block,
-    a left-half value ahead of an equal right-half one. Each right-half
-    value then lands ahead of its old slot by the number of strictly
-    larger left-half values, so the level's inversions are the right-half
-    slot sum before the sort minus the sum after it. Moving bit l + 1 of
-    the block down to the half bit gives the next level's keys.
+    ``v`` holds integers in [0, 2^vb) and is overwritten. ``slots`` is
+    ``np.arange(n)`` in ``v``'s dtype and is only read, so concurrent calls
+    share it. The merge runs bottom up. At level l the key of slot p is
+    block | value | half: the block is p with its low l + 1 bits cleared,
+    and the half is bit l of p. One in-place row sort merges the two
+    sorted halves of every block, a left-half value ahead of an equal
+    right-half one. Each right-half value then lands ahead of its old slot
+    by the number of strictly larger left-half values, so the level's
+    inversions are the right-half slot sum before the sort minus the sum
+    after it. Moving bit l + 1 of the block down to the half bit gives the
+    next level's keys. Beside ``v`` the call holds two arrays of its shape,
+    and the level loop allocates nothing: one scratch array takes each
+    level's half bits.
     """
-    n = v.shape[1]
-    pos = np.arange(n, dtype=v.dtype)
     key = v
     key <<= 1
-    key |= ((pos & ~1) << (vb + 1)) | (pos & 1)
+    half = np.empty_like(key)
+    np.bitwise_and(slots, ~1, out=half)
+    half <<= vb + 1
+    key |= half
     # Per slot: how often it held a right-half value before a sort, less after.
-    moved = (pos & 1) + np.zeros_like(key)
-    levels = (n - 1).bit_length()
+    moved = np.empty_like(key)
+    np.bitwise_and(slots, 1, out=moved)
+    key |= moved
+    levels = (v.shape[1] - 1).bit_length()
     for level in range(levels):
         key.sort(axis=1)
-        moved -= key & 1
+        np.bitwise_and(key, 1, out=half)
+        moved -= half
         if level + 1 < levels:
             bit = vb + 2 + level
-            half = key >> bit
+            np.right_shift(key, bit, out=half)
             half &= 1
             key &= ~((1 << bit) | 1)
             key |= half
             moved += half
-    return moved @ np.arange(n, dtype=np.int64)
+    # |moved| <= levels + 1 and slots < n, so the weighted slots stay exact
+    # in the key's dtype: below 2^20 for int32 keys (n <= 2^15).
+    moved *= slots
+    return moved.sum(axis=1, dtype=np.int64)
 
 
 def latent_from_rank_corr(m, kind: str) -> np.ndarray:
@@ -420,14 +486,21 @@ def latent_from_rank_corr(m, kind: str) -> np.ndarray:
     mat = as_symmetric(m)
     if np.max(np.abs(mat)) > 1.0 + 1e-12:
         raise DomainError("rank correlations must lie in [-1, 1]")
-    mat = np.clip(mat, -1.0, 1.0)
-    key = kind.lower()
-    if key == "spearman":
+    return _sine_map(np.clip(mat, -1.0, 1.0), kind.lower())
+
+
+def _sine_map(mat: np.ndarray, kind: str) -> np.ndarray:
+    """:func:`latent_from_rank_corr` of an exactly symmetric matrix in [-1, 1], unchecked.
+
+    ``estimate_mi`` hands it the matrix :func:`spearman_matrix` or
+    :func:`kendall_matrix` has just built, which is both already.
+    """
+    if kind == "spearman":
         out = 2.0 * np.sin(np.pi * mat / 6.0)
-    elif key == "kendall":
+    elif kind == "kendall":
         out = np.sin(np.pi * mat / 2.0)
     else:
         raise DomainError(f"unknown rank correlation kind {kind!r}")
-    out = np.clip(out, -1.0, 1.0)
+    np.clip(out, -1.0, 1.0, out=out)
     np.fill_diagonal(out, 1.0)
     return out

@@ -537,6 +537,18 @@ class TestEstimateCommand:
     def test_missing_required_flag_is_usage_error(self):
         assert main(["estimate"]) == 1
 
+    def test_one_column_rank_estimates_are_positive_zero(self, tmp_path, capsys):
+        # the log-determinant of the 1 x 1 latent matrix is +0.0, and -0.5 * 0.0
+        # printed rho,-0.0 and tau,-0.0 beside the plug-in's 0.0
+        path = tmp_path / "one.csv"
+        path.write_text("1.5\n0.2\n3.1\n-0.7\n2.2\n")
+        argv = ["estimate", "--input", str(path), "--estimators", "gaussian,rho,tau"]
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[4:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["gaussian", "0.0"], ["rho", "0.0"], ["tau", "0.0"]
+        ]
+
     def test_infinite_estimate_is_spelled_inf(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("1.0,2.0\n1.0,2.0\n1.0,2.0\n")

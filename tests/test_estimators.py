@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from npn import rank_stats
+from npn import matrix_core, rank_stats
 from npn.errors import (
     DomainError,
     InsufficientSamples,
@@ -130,6 +130,25 @@ class TestMiFromLatent:
         est = mi_from_latent(np.ones((2, 2)), 0.0)
         assert est.is_infinite
         assert est.value == math.inf
+
+    def test_no_projection_roundoff_singular_is_infinite(self):
+        # rank 2 in three dimensions: the smallest eigenvalue is a positive
+        # roundoff here, at or below matrix_rank's tolerance, and gave 20.34
+        g = np.random.default_rng(0).standard_normal((3, 2))
+        shat = g @ g.T
+        est = mi_from_latent(shat, 0.0)
+        assert est.value == math.inf
+        assert 0.0 < est.lambda_min <= 3 * np.finfo(np.float64).eps * np.linalg.norm(shat, 2)
+
+    def test_no_projection_keeps_a_small_eigenvalue_above_the_tolerance(self):
+        est = mi_from_latent(np.diag([1.0, 1e-13]), 0.0)
+        assert est.value == pytest.approx(-0.5 * math.log(1e-13), rel=1e-14)
+
+    @pytest.mark.parametrize("z", [0.0, 1e-3])
+    def test_zero_log_determinant_is_positive_zero(self, z):
+        # -0.5 * 0.0 is -0.0, which a CSV document printed as -0.0
+        value = mi_from_latent(np.eye(1), z).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_estimate_shrinks_as_floor_grows(self):
         theta = 1.1
@@ -399,6 +418,42 @@ class TestEstimateMi:
         ]
         assert values[0] >= values[1] - 1e-12
         assert values[1] >= values[2] - 1e-12
+
+    def test_gauss_on_a_singular_scatter_is_infinite(self):
+        # one default_rng(3) stream: the first three draws gave 19.90, 20.79
+        # and 21.97 when a roundoff-sized positive smallest eigenvalue counted
+        # as positive
+        rng = np.random.default_rng(3)
+        cfg = EstimatorConfig(EstimatorKind.GAUSS)
+        for n, d in [(2, 2), (3, 3), (10, 10), (24, 25), (5, 10), (20, 25), (25, 25)]:
+            assert estimate_mi(rng.standard_normal((n, d)), cfg).value == math.inf, (n, d)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gauss_is_infinite_whenever_n_is_at_most_d(self, seed):
+        # with distinct values every Gaussianized column sums to 0, so the
+        # scatter has rank at most n - 1 < D
+        rng = np.random.default_rng(seed)
+        cfg = EstimatorConfig(EstimatorKind.GAUSS)
+        for d in range(2, 26):
+            for n in range(2, d + 1):
+                est = estimate_mi(rng.standard_normal((n, d)), cfg)
+                assert est.value == math.inf, (n, d)
+
+    @pytest.mark.parametrize(("kind", "calls"), [(EstimatorKind.RHO, 2), (EstimatorKind.TAU, 1)])
+    def test_rank_latent_is_symmetrized_once(self, monkeypatch, kind, calls):
+        # spearman_matrix symmetrizes its result and sym_eigen its input; the
+        # sine map between them checks nothing the builders guarantee
+        real, seen = matrix_core.as_symmetric, []
+
+        def counted(a):
+            seen.append(1)
+            return real(a)
+
+        monkeypatch.setattr(matrix_core, "as_symmetric", counted)
+        monkeypatch.setattr(rank_stats, "as_symmetric", counted)
+        x = np.random.default_rng(16).standard_normal((200, 4))
+        estimate_mi(x, EstimatorConfig(kind))
+        assert len(seen) == calls
 
     def test_midrank_policy_flows_through(self):
         x = np.column_stack([[1.0, 1.0, 2.0, 3.0], [4.0, 2.0, 2.0, 1.0]])

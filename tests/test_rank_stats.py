@@ -6,7 +6,10 @@ computed from those same quantiles. Rank-correlation cases are checked
 against direct O(n^2) counting.
 """
 
+import concurrent.futures
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,8 +24,10 @@ from npn.matrix_core import as_symmetric
 from npn.rank_stats import (
     _MERGE_BLOCK,
     TiePolicy,
+    _merge_chunks,
     _pair_sign_sums,
     _sign_gram,
+    _sine_map,
     compute_ranks,
     ensure_data_matrix,
     gaussianize,
@@ -490,6 +495,100 @@ class TestKendall:
         assert peak < 1_000_000
 
 
+def force_cores(monkeypatch, cores, pool=True):
+    """Give the merge kernel ``cores`` cores, and with ``pool`` send every input to the pool."""
+    monkeypatch.setattr(rank_stats, "_available_cores", lambda: cores)
+    if pool:
+        monkeypatch.setattr(rank_stats, "_THREAD_WORK", 0)
+
+
+class TestThreadedMergeKernel:
+    """The merge kernel's chunks on a thread pool give the serial loop's sums bit for bit."""
+
+    @staticmethod
+    def assert_pool_matches_serial(monkeypatch, x, workers):
+        j, k = np.triu_indices(x.shape[1], 1)
+        force_cores(monkeypatch, 1, pool=False)
+        serial = _pair_sign_sums(x, j, k)
+        pools = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                super().__init__(max_workers, *args, **kwargs)
+                pools.append(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        force_cores(monkeypatch, workers)
+        threads = threading.active_count()
+        threaded = _pair_sign_sums(x, j, k)
+        assert pools == [_merge_chunks(j.size, x.shape[0])[0]] and pools[0] > 1
+        # the pool is closed before the kernel returns
+        assert threading.active_count() == threads
+        assert threaded.dtype == serial.dtype and np.array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_untied(self, monkeypatch, workers):
+        x = np.random.default_rng(40).standard_normal((600, 7))
+        self.assert_pool_matches_serial(monkeypatch, x, workers)
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_tied_in_both_columns(self, monkeypatch, workers):
+        # every pair has ties in both columns, so every chunk takes the joint-ties scan
+        x = np.round(np.random.default_rng(41).standard_normal((600, 7)), 1)
+        self.assert_pool_matches_serial(monkeypatch, x, workers)
+
+    def test_partial_last_chunk(self, monkeypatch):
+        n, d, workers = 1000, 13, 2
+        pairs = d * (d - 1) // 2
+        force_cores(monkeypatch, workers)
+        _, rows = _merge_chunks(pairs, n)
+        assert rows > 1 and pairs % rows != 0
+        x = np.round(np.random.default_rng(42).standard_normal((n, d)), 2)
+        self.assert_pool_matches_serial(monkeypatch, x, workers)
+
+    def test_one_pair_is_one_chunk(self, monkeypatch):
+        x = np.random.default_rng(43).standard_normal((500, 2))
+        self.assert_pool_matches_serial(monkeypatch, x, 4)
+
+    def test_int64_keys(self, monkeypatch):
+        # n > 2^15 takes int64 keys
+        x = np.round(np.random.default_rng(44).standard_normal((2**15 + 1, 3)), 2)
+        self.assert_pool_matches_serial(monkeypatch, x, 2)
+
+    def test_many_workers_with_a_short_switch_interval(self, monkeypatch):
+        # sixteen workers on 33 chunks, on any machine, switching threads every microsecond
+        x = np.round(np.random.default_rng(45).standard_normal((4000, 12)), 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_pool_matches_serial(monkeypatch, x, 16)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_small_inputs_stay_serial(self):
+        # Monte Carlo shapes: 28 pairs x n = 1,024 at D = 8
+        assert _merge_chunks(28, 1024) == (1, _MERGE_BLOCK // 1024)
+        assert 28 * 1024 < rank_stats._THREAD_WORK
+
+    @pytest.mark.parametrize("cores", [2, 4, 8, 64])
+    def test_memory_in_flight_does_not_grow_with_the_cores(self, monkeypatch, cores):
+        force_cores(monkeypatch, cores)
+        for n in (500, 20_000, 100_000):
+            workers, rows = _merge_chunks(300, n)
+            assert 2 <= workers <= cores
+            assert workers * rows * n <= max(rank_stats._THREAD_BLOCK, 2 * n)
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_peak_memory_holds_one_matrix_beside_the_input(self, monkeypatch, workers):
+        force_cores(monkeypatch, workers)
+        TestColumnBlocks().test_peak_memory_holds_one_matrix_beside_the_input(kendall_matrix, 1.0)
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_mergesort_memory_stays_bounded(self, monkeypatch, workers):
+        force_cores(monkeypatch, workers)
+        TestKendall().test_mergesort_memory_stays_bounded()
+
+
 class TestMergesortPairSignSum:
     """The merge path's pair-sign sum of two columns, ties in both, against direct counting."""
 
@@ -612,6 +711,13 @@ class TestLatentFromRankCorr:
             out = latent_from_rank_corr(m, kind)
             assert np.all(np.abs(out) <= 1.0)
             np.testing.assert_array_equal(np.diag(out), np.ones(6))
+
+    @pytest.mark.parametrize(
+        ("build", "kind"), [(spearman_matrix, "spearman"), (kendall_matrix, "kendall")])
+    def test_unchecked_map_of_a_built_matrix_is_bit_identical(self, build, kind):
+        x = np.round(np.random.default_rng(21).standard_normal((300, 6)), 1)
+        m = build(x)
+        assert _sine_map(m, kind).tobytes() == latent_from_rank_corr(m, kind).tobytes()
 
 
 # strictly monotone transforms that preserve distinctness of the grid below
