@@ -218,12 +218,19 @@ def gaussianize(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     scaled and mapped through SciPy's ``ndtri`` in place. The scaled ranks
     lie in [1 / (n + 1), n / (n + 1)] by construction, so they skip
     :func:`probit`'s domain check.
+
+    Raises
+    ------
+    DegenerateColumn
+        If some column's ranks are constant: its Gaussianized column is a
+        constant that no latent Gaussian column has.
     """
     m = ensure_data_matrix(x)
     n = m.shape[0]
     if n < 2:
         raise DomainError("gaussianization needs at least 2 samples")
     out = _put_ranks(m, policy, np.empty(m.shape))
+    _check_spread(out)
     out /= n + 1.0
     return ndtri(out, out=out)
 
@@ -235,6 +242,8 @@ def sigma_g(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     no centering is applied; with distinct values every diagonal entry
     equals the grid second moment (1/n) sum_i probit(i/(n+1))^2, which is
     slightly below 1 and shrinks the matrix deterministically in n.
+    Raises DegenerateColumn on a column with constant ranks, as
+    :func:`gaussianize` does.
     """
     xg = gaussianize(x, policy)
     n = xg.shape[0]
@@ -258,10 +267,7 @@ def spearman_matrix(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     m = ensure_data_matrix(x)
     n, d = m.shape
     ranks = _put_ranks(m, policy, np.empty(m.shape))
-    spread = np.ptp(ranks, axis=0)
-    if np.any(spread == 0.0):
-        j = int(np.flatnonzero(spread == 0.0)[0])
-        raise DegenerateColumn(f"column {j} has constant ranks")
+    _check_spread(ranks)
     if d == 1:
         return np.ones((1, 1))
     # np.corrcoef(ranks, rowvar=False) step by step, on the columns as rows.
@@ -278,6 +284,14 @@ def spearman_matrix(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     return corr
 
 
+def _check_spread(ranks: np.ndarray) -> None:
+    """Raise DegenerateColumn on the first column of ``ranks`` whose entries are all equal."""
+    spread = np.ptp(ranks, axis=0)
+    if np.any(spread == 0.0):
+        j = int(np.flatnonzero(spread == 0.0)[0])
+        raise DegenerateColumn(f"column {j} has constant ranks")
+
+
 def kendall_matrix(x) -> np.ndarray:
     """Kendall tau-a rank-correlation matrix.
 
@@ -290,6 +304,11 @@ def kendall_matrix(x) -> np.ndarray:
     D = 8, 130 at D = 16 and 170 at D = 25. On a large input (column pairs
     times n of 2^20 or more) the merge kernel uses every core the process
     may run on, and its result is the same bits on any number of them.
+
+    A column of equal values ties every pair, so its tau-a with every
+    other column is 0, which is well defined: unlike
+    :func:`spearman_matrix` and :func:`gaussianize`, this raises no
+    DegenerateColumn.
     """
     m = ensure_data_matrix(x)
     n, d = m.shape

@@ -24,6 +24,16 @@ identical data. :func:`run_experiment` therefore loops over trials
 outside and sweep values inside, drawing each trial's correlation matrix
 once and computing the rank estimators once wherever the data keep the
 clean sample's ranks.
+
+Since every trial draws from its own streams, the trials are independent.
+A large enough run splits them into contiguous slices, one per available
+core, and runs each slice in a worker process forked for the call; the
+records are joined in trial order, so the summaries are the same bits at
+any worker count. One available core (for example under ``taskset -c 0``),
+a single trial, a small run, a platform other than Linux or a daemonic
+caller takes the serial path. Python 3.12 and later warn
+(``DeprecationWarning``) on a fork in a process that runs other threads,
+such as a threaded BLAS's; the warning is left to the caller's filters.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 
 import numpy as np
 from scipy.special import ndtr
@@ -38,7 +49,7 @@ from scipy.special import ndtr
 from .errors import DegenerateDraw, DomainError, NotPositiveDefinite, NpnError
 from .estimators import DEFAULT_K, EstimatorConfig, EstimatorKind, MiEstimate, estimate_mi, true_mi
 from .matrix_core import as_symmetric
-from .rank_stats import ensure_data_matrix
+from .rank_stats import _available_cores, _column_blocks, _sorted_rows, ensure_data_matrix
 
 __all__ = [
     "MarginalTransform",
@@ -64,6 +75,12 @@ _RANK_KINDS = frozenset((EstimatorKind.GAUSS, EstimatorKind.RHO, EstimatorKind.T
 
 _WISHART_RETRIES = 100
 _MIN_EIGENVALUE = 1e-10
+# From this much work on (trials x D x the sum of n over the sweep), with
+# at least two trials and two available cores, run_experiment runs slices
+# of the trials in forked worker processes. A two-worker pool costs about
+# 17 ms; the cheapest work per unit, experiment 2 at n = 100, D = 25,
+# takes about 50 ms serially at this size, so the pool is ahead from here.
+_POOL_WORK = 1 << 16
 
 
 class MarginalTransform(enum.Enum):
@@ -363,11 +380,17 @@ def _keeps_order(clean: np.ndarray, bent: np.ndarray) -> bool:
     """
     if not np.all(np.isfinite(bent)):
         return False
-    # One column at a time, so that the check holds no array of the matrix's size.
-    for before, after in zip(clean.T, bent.T):
-        order = np.argsort(before)
-        step = np.diff(after[order])
-        if not (np.all(step >= 0) and np.array_equal(step > 0, np.diff(before[order]) > 0)):
+    # One sort per block of columns, as in the rank layer, so that the check
+    # holds no more than a block's arrays at a time.
+    for cols in _column_blocks(*clean.shape):
+        order, before = _sorted_rows(clean[:, cols])
+        rises = before[:, 1:] > before[:, :-1]
+        del before
+        after = np.take_along_axis(bent[:, cols].T, order, axis=1)
+        del order
+        if np.any(after[:, 1:] < after[:, :-1]) or not np.array_equal(
+            after[:, 1:] > after[:, :-1], rises
+        ):
             return False
     return True
 
@@ -413,6 +436,48 @@ def _trial_records(
     return records
 
 
+def _run_trials(spec: ExperimentSpec, trials: range) -> list[list[TrialRecord]]:
+    """The records of ``trials``, one list per sweep value, each in trial order.
+
+    The loop is trial-major; see :func:`run_experiment`.
+    """
+    cells: list[list[TrialRecord]] = [[] for _ in spec.sweep]
+    for trial in trials:
+        memo: dict[EstimatorConfig, MiEstimate | None] = {}
+        for i, (sweep_value, records) in enumerate(zip(spec.sweep, cells)):
+            if i == 0 or spec.experiment is ExperimentId.SIGMA:
+                drawn = _draw_truth(spec, sweep_value, trial)
+            records += _trial_records(spec, drawn, sweep_value, trial, memo)
+    return cells
+
+
+def _workers(spec: ExperimentSpec) -> int:
+    """Worker processes for a resolved ``spec``'s trials; 1 is the serial path.
+
+    The pool runs on Linux, whose ``fork`` is safe with NumPy, when there
+    are at least two trials and two available cores, the work (trials x D
+    x the sum of n over the sweep) reaches ``_POOL_WORK``, and the caller
+    is not a daemonic process, which may not have children. The cheap
+    conditions come first, so that a small run imports nothing.
+    """
+    if spec.trials < 2 or not sys.platform.startswith("linux"):
+        return 1
+    if spec.experiment is ExperimentId.SAMPLE_SIZE:
+        samples = sum(int(v) for v in spec.sweep)
+    else:
+        samples = spec.n * len(spec.sweep)
+    if spec.trials * spec.d * samples < _POOL_WORK:
+        return 1
+    cores = _available_cores()
+    if cores < 2:
+        return 1
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return 1
+    return min(cores, spec.trials)
+
+
 def run_experiment(spec: ExperimentSpec) -> list[MseSummary]:
     """Run one benchmark protocol and aggregate squared errors.
 
@@ -436,15 +501,31 @@ def run_experiment(spec: ExperimentSpec) -> list[MseSummary]:
     outcome or its error, and uses it again. The estimate is bit-identical
     to one computed afresh, so the records are too. They are aggregated in
     sweep-major order, as if the sweep were the outer loop.
+
+    On a large enough run (:func:`_workers`) the trials are split into
+    contiguous slices, one per available core, and each slice runs in a
+    worker process forked for this call; the caller runs none of them and
+    waits. Every trial draws from its own streams, and the slices' records
+    are joined in trial order, so every summary is the same bits at any
+    worker count. CPU affinity (``taskset``) sets the core count; one
+    available core, one trial, a small run, a platform other than Linux
+    or a daemonic caller takes the serial path. Every worker has exited
+    when this returns or raises, and an error raised in a worker reaches
+    the caller with its type.
     """
     spec = spec.resolved()
-    cells: list[list[TrialRecord]] = [[] for _ in spec.sweep]
-    for trial in range(spec.trials):
-        memo: dict[EstimatorConfig, MiEstimate | None] = {}
-        for i, (sweep_value, records) in enumerate(zip(spec.sweep, cells)):
-            if i == 0 or spec.experiment is ExperimentId.SIGMA:
-                drawn = _draw_truth(spec, sweep_value, trial)
-            records += _trial_records(spec, drawn, sweep_value, trial, memo)
+    workers = _workers(spec)
+    if workers == 1:
+        cells = _run_trials(spec, range(spec.trials))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        bounds = [spec.trials * w // workers for w in range(workers + 1)]
+        slices = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            parts = list(pool.map(_run_trials, [spec] * workers, slices))
+        cells = [[rec for part in parts for rec in part[i]] for i in range(len(spec.sweep))]
     return mse_aggregate([rec for records in cells for rec in records])
 
 

@@ -428,6 +428,20 @@ class TestEstimateCommand:
         assert doc["errors"][0]["error"] == "SingularScatter"
         assert [e["estimator"] for e in doc["estimates"]] == ["rho"]
 
+    def test_constant_column_fails_gauss_with_numeric_exit(self, tmp_path, capsys):
+        path = tmp_path / "constant.csv"
+        x = np.random.default_rng(0).standard_normal((200, 3))
+        x[:, 2] = 1.0
+        save_csv(x, path)
+        code, doc = run_json(
+            capsys,
+            ["estimate", "--input", str(path), "--estimators", "gauss,tau"],
+        )
+        assert code == 3
+        assert doc["errors"] == [{"estimator": "gauss", "error": "DegenerateColumn",
+                                  "message": "column 2 has constant ranks"}]
+        assert [e["estimator"] for e in doc["estimates"]] == ["tau"]
+
     def test_overflowing_plugin_sets_numeric_exit(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
         save_csv(np.random.default_rng(1).standard_normal((50, 3)) * 1e160, path)

@@ -19,6 +19,7 @@ from scipy.spatial import cKDTree
 
 from npn import matrix_core, rank_stats
 from npn.errors import (
+    DegenerateColumn,
     DomainError,
     InsufficientSamples,
     NotPositiveDefinite,
@@ -366,6 +367,17 @@ class TestEstimateMi:
         y = np.column_stack([np.exp(x[:, 0]), x[:, 1]])
         cfg = EstimatorConfig(EstimatorKind.GAUSSIAN_PLUGIN)
         assert estimate_mi(y, cfg).value < estimate_mi(x, cfg).value
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_gauss_raises_on_a_constant_column(self, policy):
+        # literal ranks put the whole column at probit(n / (n + 1)), which gave a negative MI
+        x = np.random.default_rng(0).standard_normal((200, 3))
+        x[:, 2] = 1.0
+        for kind in (EstimatorKind.GAUSS, EstimatorKind.RHO):
+            with pytest.raises(DegenerateColumn, match="column 2"):
+                estimate_mi(x, EstimatorConfig(kind, tie_policy=policy))
+        # every pair ties in the constant column, so its tau-a is a well-defined 0
+        assert estimate_mi(x, EstimatorConfig(EstimatorKind.TAU)).value >= 0.0
 
     def test_scatter_diagnostic_attached(self):
         rng = np.random.default_rng(10)

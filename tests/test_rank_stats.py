@@ -259,6 +259,13 @@ class TestGaussianize:
         with pytest.raises(DomainError):
             gaussianize(np.array([1.0]))
 
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_constant_column_raises(self, policy):
+        x = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
+        for fn in (gaussianize, sigma_g):
+            with pytest.raises(DegenerateColumn, match="column 1"):
+                fn(x, policy)
+
     def test_distinct_column_sums_to_zero(self):
         rng = np.random.default_rng(8)
         out = gaussianize(rng.standard_normal((41, 2)))

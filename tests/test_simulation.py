@@ -1,12 +1,15 @@
 """Tests for the simulation harness: samplers, corruption models, sweeps."""
 
+import dataclasses
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from npn import simulation
+from npn import cli, rank_stats, simulation
 from npn.errors import DegenerateDraw, DomainError, NotPositiveDefinite, NpnError
 from npn.estimators import EstimatorConfig, EstimatorKind, estimate_mi, true_mi
 from npn.matrix_core import as_correlation, bandable_eigen_bounds, is_bandable
@@ -390,7 +393,12 @@ def sweep_major(spec):
 
 
 def count_estimates(monkeypatch):
-    """Count run_experiment's estimate_mi calls by estimator kind."""
+    """Count run_experiment's estimate_mi calls by estimator kind.
+
+    One available core keeps run_experiment on the serial path: a call
+    counted in a worker process would not reach this count.
+    """
+    monkeypatch.setattr(simulation, "_available_cores", lambda: 1)
     calls = {kind: 0 for kind in EstimatorKind}
 
     def counted(x, cfg):
@@ -455,6 +463,7 @@ class TestTrialMajorLoop:
             return sample_correlation_wishart(d, rng)
 
         monkeypatch.setattr(simulation, "sample_correlation_wishart", counted)
+        monkeypatch.setattr(simulation, "_available_cores", lambda: 1)  # see count_estimates
         sweep = (16.0, 32.0, 64.0) if experiment is ExperimentId.SAMPLE_SIZE else (0.0, 0.1, 0.2)
         run_experiment(ExperimentSpec(experiment, trials=4, n=30, d=3, sweep=sweep,
                                       estimators=rho_only()))
@@ -482,8 +491,11 @@ class TestTrialMajorLoop:
         for s in out:
             assert s.finite_fraction == (1.0 if s.sweep_value == 0.0 else 0.0), s
 
-    def test_holds_no_data_matrix_across_sweep_values(self):
-        # the plug-in runs at every alpha; the bound was fixed before the first run
+    def test_holds_no_data_matrix_across_sweep_values(self, monkeypatch):
+        # the plug-in runs at every alpha; the bound was fixed before the first run.
+        # tracemalloc sees only this process, so the trials must run in it.
+        monkeypatch.setattr(simulation, "_available_cores", lambda: 1)
+
         def peak(sweep):
             spec = ExperimentSpec(
                 ExperimentId.MARGINALS, trials=2, n=2000, d=10, sweep=sweep,
@@ -536,6 +548,178 @@ class TestKeepsOrder:
         bent = self.CLEAN.copy()
         bent[2, 0] = bad  # the largest clean value, so inf alone keeps the order
         assert not self.keeps(bent)
+
+    @staticmethod
+    def column_by_column(clean, bent):
+        """The check one column at a time, as it was first written: the oracle."""
+        if not np.all(np.isfinite(bent)):
+            return False
+        for before, after in zip(clean.T, bent.T):
+            order = np.argsort(before)
+            step = np.diff(after[order])
+            if not (np.all(step >= 0) and np.array_equal(step > 0, np.diff(before[order]) > 0)):
+                return False
+        return True
+
+    @pytest.mark.parametrize("block", [None, 40], ids=["one-block", "two-columns-a-block"])
+    def test_agrees_with_the_column_loop_on_random_tied_matrices(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(rank_stats, "_COLUMN_BLOCK", block)
+        rng = np.random.default_rng(31)
+        kept = 0
+        for _ in range(500):
+            n, d = int(rng.integers(2, 25)), int(rng.integers(0, 6))
+            clean = np.round(rng.standard_normal((n, d)), int(rng.integers(0, 2)))
+            bent = np.round(np.exp(clean), int(rng.integers(0, 4)))
+            if rng.random() < 0.2 and bent.size:
+                bent.flat[rng.integers(bent.size)] = rng.choice([math.inf, math.nan, 0.0])
+            want = self.column_by_column(clean, bent)
+            assert simulation._keeps_order(clean, bent) == want
+            kept += want
+        assert 0 < kept < 500  # both outcomes are exercised
+
+
+def pooled(monkeypatch, cores):
+    """Let run_experiment fork for any spec of two or more trials, on ``cores`` cores."""
+    monkeypatch.setattr(simulation, "_available_cores", lambda: cores)
+    monkeypatch.setattr(simulation, "_POOL_WORK", 0)
+
+
+def serial_then_pooled(spec, monkeypatch, cores=2):
+    """run_experiment's summaries on the serial path, then through a pool of ``cores``."""
+    monkeypatch.setattr(simulation, "_available_cores", lambda: 1)
+    serial = run_experiment(spec)
+    pooled(monkeypatch, cores)
+    assert simulation._workers(spec.resolved()) == min(cores, spec.trials)
+    out = run_experiment(spec)
+    assert multiprocessing.active_children() == []
+    return serial, out
+
+
+class TestTrialPool:
+    """run_experiment's forked workers give the serial path's summaries, bit for bit."""
+
+    @pytest.mark.parametrize("experiment", list(ExperimentId))
+    def test_equals_the_serial_path(self, experiment, monkeypatch):
+        spec = ExperimentSpec(experiment, trials=3, n=30, d=4, seed=14)
+        serial, out = serial_then_pooled(spec, monkeypatch)
+        assert out == serial
+
+    @pytest.mark.parametrize("experiment", list(ExperimentId))
+    def test_equals_the_serial_path_with_a_repeated_sweep_value(self, experiment, monkeypatch):
+        sweep = (16.0, 8.0, 16.0) if experiment is ExperimentId.SAMPLE_SIZE else (0.5, 0.0, 0.5)
+        # three uneven slices put a cell's records out of trial order if joined slice by slice
+        spec = ExperimentSpec(experiment, trials=7, n=20, d=4, sweep=sweep, seed=15)
+        serial, out = serial_then_pooled(spec, monkeypatch, cores=3)
+        assert out == serial
+        assert all(s.trials == 14 for s in out if s.sweep_value == sweep[0])
+
+    def test_equals_the_serial_path_when_estimators_fail(self, monkeypatch):
+        # n = 5 <= D = 6 leaves the plug-in's scatter singular at every alpha
+        spec = ExperimentSpec(ExperimentId.MARGINALS, trials=4, n=5, d=6,
+                              sweep=(0.0, 1.0), seed=16)
+        serial, out = serial_then_pooled(spec, monkeypatch)
+        assert out == serial
+        assert any(s.finite_fraction == 0.0 for s in out)
+
+    @pytest.mark.parametrize("trials, cores", [(7, 3), (5, 4), (2, 4)],
+                             ids=["7-on-3", "5-on-4", "fewer-trials-than-cores"])
+    def test_equals_the_serial_path_on_uneven_slices(self, trials, cores, monkeypatch):
+        spec = ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=trials, d=3,
+                              sweep=(12.0, 24.0), seed=17)
+        serial, out = serial_then_pooled(spec, monkeypatch, cores)
+        assert out == serial
+
+    def test_slices_are_contiguous_and_run_in_workers(self, monkeypatch, tmp_path):
+        draw_truth = simulation._draw_truth
+
+        def marked(spec, sweep_value, trial):
+            (tmp_path / f"{trial}-{os.getpid()}").touch()
+            return draw_truth(spec, sweep_value, trial)
+
+        monkeypatch.setattr(simulation, "_draw_truth", marked)
+        pooled(monkeypatch, 3)
+        run_experiment(ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=7, d=3, sweep=(12.0,),
+                                      estimators=rho_only()))
+        by_pid: dict[int, set[int]] = {}
+        for mark in tmp_path.iterdir():
+            trial, pid = map(int, mark.name.split("-"))
+            by_pid.setdefault(pid, set()).add(trial)
+        assert os.getpid() not in by_pid
+        assert sorted(t for trials in by_pid.values() for t in trials) == list(range(7))
+        # a worker that starts first may take more than one slice, but never part of one
+        slices = ({0, 1}, {2, 3}, {4, 5, 6})
+        for trials in by_pid.values():
+            assert trials == set().union(*(s for s in slices if s & trials))
+        assert multiprocessing.active_children() == []
+
+    def test_simulate_csv_equals_the_serial_path(self, monkeypatch, tmp_path):
+        argv = ["simulate", "--experiment", "2", "--trials", "5", "--n", "40", "--d", "4",
+                "--alpha-grid", "0.0,0.5,1.0", "--format", "csv", "--seed", "18"]
+        monkeypatch.setattr(simulation, "_available_cores", lambda: 1)
+        assert cli.main(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
+        pooled(monkeypatch, 2)
+        assert cli.main(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+        trial_records = simulation._trial_records
+
+        def failing(spec, drawn, sweep_value, trial, memo):
+            if trial == 3:
+                raise RuntimeError("trial 3 broke")
+            return trial_records(spec, drawn, sweep_value, trial, memo)
+
+        monkeypatch.setattr(simulation, "_trial_records", failing)
+        pooled(monkeypatch, 2)
+        spec = ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=4, d=3, sweep=(12.0,),
+                              estimators=rho_only())
+        with pytest.raises(RuntimeError, match="trial 3 broke"):
+            run_experiment(spec)
+        assert multiprocessing.active_children() == []
+
+    SPEC = ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=4, d=3, sweep=(12.0,),
+                          estimators=rho_only())
+
+    def test_one_core_is_serial(self, monkeypatch):
+        pooled(monkeypatch, 1)
+        assert simulation._workers(self.SPEC.resolved()) == 1
+
+    def test_one_trial_is_serial(self, monkeypatch):
+        pooled(monkeypatch, 4)
+        spec = ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=1, d=3, sweep=(12.0,))
+        assert simulation._workers(spec.resolved()) == 1
+
+    def test_small_work_is_serial(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_available_cores", lambda: 4)
+        # trials x D x the sum of n over the sweep, at the threshold and just below it
+        at = ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=4, d=2, sweep=(4096.0, 4096.0))
+        below = ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=4, d=2, sweep=(4096.0, 4095.0))
+        assert simulation._workers(at.resolved()) == 4
+        assert simulation._workers(below.resolved()) == 1
+        n_at = ExperimentSpec(ExperimentId.SIGMA, trials=128, n=128, sweep=(0.0, 0.5))
+        assert simulation._workers(n_at.resolved()) == 4  # D = 2 once resolved
+        assert simulation._workers(dataclasses.replace(n_at, n=127).resolved()) == 1
+
+    def test_daemonic_caller_is_serial(self, monkeypatch):
+        pooled(monkeypatch, 2)
+        assert simulation._workers(self.SPEC.resolved()) == 2
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert simulation._workers(self.SPEC.resolved()) == 1
+
+    def test_runs_inside_a_pool_worker(self, monkeypatch):
+        # a multiprocessing.Pool worker is daemonic and may not fork a pool of its own
+        pooled(monkeypatch, 2)
+        want = sweep_major(self.SPEC)
+        outer = multiprocessing.get_context("fork").Pool(1)
+        try:
+            got = outer.apply_async(run_experiment, (self.SPEC,)).get(timeout=120)
+        finally:
+            outer.close()
+            outer.join()
+        assert got == want
+        assert multiprocessing.active_children() == []
 
 
 class TestMseAggregate:
