@@ -2,6 +2,7 @@
 """Print the wall time and ``tracemalloc`` peak of each stage of ``npn estimate`` on a CSV file.
 
     python3 scripts/stage_peaks.py DATA.csv [CHECKOUT ...] [--estimators gaussian,gauss,rho,tau]
+    python3 scripts/stage_peaks.py --simulate [CHECKOUT ...] [--seed S]
 
 The stages are the ones ``npn estimate --entropy`` runs: ``load_csv``, then
 ``estimate_mi`` of each estimator on the loaded matrix, then ``entropy_npn``
@@ -16,6 +17,13 @@ from one more call under ``tracemalloc``, which slows allocation. Each
 checkout (this script's own when none is given) is measured in a fresh
 process with its own ``src`` on the path, and the table has two columns per
 checkout: seconds and MB (10^6 bytes).
+
+``--simulate`` measures the serial Monte Carlo trial loop instead: the
+body of each Monte Carlo workload of the checkout's ``npnbench`` (after its
+set-up), with ``_available_cores`` forced to 1, so that every trial runs in
+the measured process. The benchmark's pooled ``peak_alloc_mb`` sees only
+the parent, which runs no trial, so this is what a trial loop holds. Run
+it with ``OPENBLAS_NUM_THREADS=1``, as the benchmark runs.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve()
 DEFAULT_ESTIMATORS = "gaussian,gauss,rho,tau"
+MONTE_CARLO = ("mc_sample_size_d8", "mc_marginals_n100_d25")
 REPEATS = 3
 
 
@@ -75,8 +84,23 @@ def child(csv: Path, estimators: str) -> None:
     print(json.dumps(stages))
 
 
-def run_side(checkout: Path, csv: Path, estimators: str) -> dict:
-    argv = [sys.executable, str(SCRIPT), str(csv), "--child", "--estimators", estimators]
+def simulate_child(seed: int) -> None:
+    """Measure every Monte Carlo workload's body on one core in the checkout at the working directory."""
+    sys.path[:0] = ["src", "npnbench"]
+    import workloads
+    from npn import simulation
+
+    simulation._available_cores = lambda: 1
+    stages = {}
+    for name in MONTE_CARLO:
+        w = workloads.WORKLOADS[name](seed, False, None)
+        w.prepare()
+        _, stages[name] = measure(w.body)
+    print(json.dumps(stages))
+
+
+def run_side(checkout: Path, child_args: list[str]) -> dict:
+    argv = [sys.executable, str(SCRIPT), "--child", *child_args]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -86,17 +110,29 @@ def run_side(checkout: Path, csv: Path, estimators: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("csv", type=Path)
-    parser.add_argument("checkouts", nargs="*", type=Path, help="default: this checkout")
+    parser.add_argument("paths", nargs="*", type=Path,
+                        help="DATA.csv then checkouts, or only checkouts with --simulate")
     parser.add_argument("--estimators", default=DEFAULT_ESTIMATORS)
+    parser.add_argument("--simulate", action="store_true",
+                        help="time the serial Monte Carlo trial loop, not npn estimate")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed for --simulate")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    csv = args.csv.resolve()
+    if args.simulate:
+        checkouts, child_args = args.paths, ["--simulate", "--seed", str(args.seed)]
+    elif args.paths:
+        csv, checkouts = args.paths[0].resolve(), args.paths[1:]
+        child_args = [str(csv), "--estimators", args.estimators]
+    else:
+        parser.error("give DATA.csv, or --simulate")
     if args.child:
-        child(csv, args.estimators)
+        if args.simulate:
+            simulate_child(args.seed)
+        else:
+            child(csv, args.estimators)
         return 0
-    checkouts = args.checkouts or [SCRIPT.parent.parent]
-    sides = [run_side(c.resolve(), csv, args.estimators) for c in checkouts]
+    checkouts = checkouts or [SCRIPT.parent.parent]
+    sides = [run_side(c.resolve(), child_args) for c in checkouts]
     stage_width = max(len(stage) for stage in sides[0])
     for i, c in enumerate(checkouts):
         print(f"side {i}: {c}")

@@ -32,24 +32,25 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.spatial import cKDTree
 
 from .errors import (
     DomainError,
     InsufficientSamples,
+    NoConvergence,
     NotPositiveDefinite,
     SingularScatter,
 )
-from .matrix_core import as_correlation, cholesky_logdet, sym_eigen
+from .matrix_core import _logdet_stack, _symmetric_stack, as_correlation, as_symmetric, cholesky_logdet
 from .rank_stats import (
     TiePolicy,
     _column_blocks,
+    _kendall_stack,
+    _sigma_g_stack,
     _sine_map,
     _sorted_rows,
+    _spearman_stack,
+    _trial_stack,
     ensure_data_matrix,
-    kendall_matrix,
-    sigma_g,
-    spearman_matrix,
 )
 
 __all__ = [
@@ -69,6 +70,10 @@ __all__ = [
 
 DEFAULT_Z = 1e-3
 DEFAULT_K = 2
+# Points per leaf of the joint kNN KD-tree. The k-th distance of a point is
+# the same float at any leaf size; this one is the fastest of a sweep over
+# the Monte Carlo shapes (see CHANGES.md).
+_LEAF_SIZE = 64
 
 
 class EstimatorKind(enum.Enum):
@@ -174,19 +179,40 @@ def mi_from_latent(shat, z: float) -> MiEstimate:
     or non-finite ``z``, or an eigenvalue past the float range, raises
     DomainError.
     """
-    # sym_eigen validates and symmetrizes shat, so a bad shat raises before a bad z.
-    w = sym_eigen(shat).eigenvalues
+    return _latent_mi_stack(as_symmetric(shat)[None], z)[0]
+
+
+def _latent_mi_stack(mats: np.ndarray, z: float, kind: EstimatorKind | None = None) -> list[MiEstimate]:
+    """:func:`mi_from_latent` of every matrix of a symmetrized stack (T, D, D), labelled ``kind``.
+
+    One stacked ``eigh`` call decomposes each matrix as a lone call does,
+    and each trial's sums are its own row's reductions, so every estimate
+    has the bits of a lone call. The caller validates and symmetrizes the
+    stack (:func:`as_symmetric`), so a bad matrix raises before a bad z.
+    """
+    try:
+        w = np.linalg.eigh(mats)[0][:, ::-1].copy()
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     if z < 0.0 or not math.isfinite(z):
         raise DomainError(f"regularization floor z must be >= 0, got {z}")
     if not np.all(np.isfinite(w)):
         raise DomainError("the latent estimate's largest eigenvalue overflows the float range")
-    lam_min = float(w[-1])
-    if z == 0.0 and lam_min <= w.size * np.finfo(np.float64).eps * float(np.max(np.abs(w))):
-        return MiEstimate(value=math.inf, lambda_min=lam_min, clamped=0)
-    clamped = int(np.sum(w < z))
-    logdet = float(np.sum(np.log(np.maximum(w, z))))
-    # 0.0 - x, not -x: a log-determinant of +0.0 gives 0.0, not -0.0.
-    return MiEstimate(value=0.0 - 0.5 * logdet, lambda_min=lam_min, clamped=clamped)
+    d = w.shape[1]
+    lam_min = w[:, -1].tolist()
+    singular = (w[:, -1] <= d * np.finfo(np.float64).eps * np.max(np.abs(w), axis=1)).tolist()
+    clamped = np.sum(w < z, axis=1).tolist()
+    # At z = 0 a singular trial's log of a non-positive eigenvalue is never used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logdet = np.sum(np.log(np.maximum(w, z)), axis=1).tolist()
+    out = []
+    for lam, sing, c, ld in zip(lam_min, singular, clamped, logdet):
+        if z == 0.0 and sing:
+            out.append(MiEstimate(value=math.inf, estimator=kind, lambda_min=lam, clamped=0))
+        else:
+            # 0.0 - x, not -x: a log-determinant of +0.0 gives 0.0, not -0.0.
+            out.append(MiEstimate(value=0.0 - 0.5 * ld, estimator=kind, lambda_min=lam, clamped=c))
+    return out
 
 
 def plugin_logdet_bias(n: int, d: int) -> float:
@@ -226,25 +252,40 @@ def mi_gaussian_plugin(x) -> MiEstimate:
         overflows or is numerically singular.
     """
     m = ensure_data_matrix(x)
-    n, d = m.shape
+    return _plugin_batch(m, m.shape[1])[0]
+
+
+def _plugin_batch(m: np.ndarray, d: int) -> list[MiEstimate]:
+    """:func:`mi_gaussian_plugin` of each trial of d columns of ``m``.
+
+    Each trial's covariance repeats ``np.cov``'s arithmetic on a centered
+    copy that keeps the input's memory layout, as ``np.cov``'s does, so its
+    bits are those of ``np.cov`` on the trial alone, a Fortran-ordered one
+    included.
+    """
+    n = m.shape[0]
+    trials = m.shape[1] // d
     if n <= d:
         raise SingularScatter(f"Gaussian plug-in needs n > D, got n={n}, D={d}")
     if d == 1:
-        return MiEstimate(value=0.0, estimator=EstimatorKind.GAUSSIAN_PLUGIN)
+        return [MiEstimate(value=0.0, estimator=EstimatorKind.GAUSSIAN_PLUGIN)] * trials
     # Compared, not subtracted: np.std underflows to 0 at tiny scales and
     # np.ptp overflows at huge ones.
     if np.any(np.min(m, axis=0) == np.max(m, axis=0)):
         raise SingularScatter("constant column makes the scatter singular")
+    centered = _trial_stack(m, d).copy(order="K")
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = np.cov(m, rowvar=False, bias=True)
+        centered -= centered.mean(axis=1)[:, None, :]
+        cov = np.matmul(centered.mT, centered)
+        cov *= 1 / n
     if not np.all(np.isfinite(cov)):
         raise SingularScatter("empirical covariance overflows the float range")
     try:
-        logdet = cholesky_logdet(cov)
+        logdet = _logdet_stack(_symmetric_stack(cov)).tolist()
     except NotPositiveDefinite as exc:
         raise SingularScatter(f"empirical covariance is singular: {exc}") from exc
-    value = -0.5 * (logdet - plugin_logdet_bias(n, d))
-    return MiEstimate(value=value, estimator=EstimatorKind.GAUSSIAN_PLUGIN)
+    bias = plugin_logdet_bias(n, d)
+    return [MiEstimate(value=-0.5 * (ld - bias), estimator=EstimatorKind.GAUSSIAN_PLUGIN) for ld in logdet]
 
 
 def estimate_mi(x, cfg: EstimatorConfig) -> MiEstimate:
@@ -253,31 +294,49 @@ def estimate_mi(x, cfg: EstimatorConfig) -> MiEstimate:
     The rank-based kinds (gauss, rho, tau) depend on the data only through
     columnwise ranks, so strictly increasing marginal transforms leave
     their output bit-identical.
+
+    This is the batch of one trial of :func:`_estimate_batch`, which the
+    Monte Carlo harness calls on many trials at once: each trial's
+    estimate there is this call's, bit for bit.
+    """
+    return _estimate_batch(x, cfg)[0]
+
+
+def _estimate_batch(x, cfg: EstimatorConfig, d: int | None = None) -> list[MiEstimate]:
+    """:func:`estimate_mi` of each trial of an n x (T d) matrix, trial t in columns t d to t d + d - 1.
+
+    With ``d`` absent the whole matrix is one trial.
+
+    Every column-wise pass (ranks, spread checks, ``ndtri``, the marginal
+    kNN pass, Kendall's keys) runs once over all the columns, and every
+    per-trial product or factorization (the Gram, Spearman and Kendall
+    matrices, the plug-in's covariance and Cholesky factor, ``eigh``) runs
+    as one stacked call over the trials. Each trial's estimate is the bits
+    of :func:`estimate_mi` on its columns alone. An NpnError that any trial
+    would raise is raised for the batch, naming no trial, so a caller that
+    needs each trial's own outcome then runs the trials one at a time.
     """
     m = ensure_data_matrix(x)
     if m.shape[0] < 2:
         raise DomainError("mutual information estimation needs n >= 2")
+    d = m.shape[1] if d is None else d
     kind = cfg.kind
     if kind is EstimatorKind.GAUSSIAN_PLUGIN:
-        return mi_gaussian_plugin(m)
+        return _plugin_batch(m, d)
     if kind is EstimatorKind.KNN:
-        return mi_knn(m, cfg.k)
+        return _knn_batch(m, d, cfg.k)
     if kind is EstimatorKind.GAUSS:
-        scatter = sigma_g(m, cfg.tie_policy)
-        est = mi_from_latent(scatter, cfg.effective_z)
-        return dataclasses.replace(
-            est,
-            estimator=kind,
-            diag_second_moment=float(np.mean(np.diag(scatter))),
-        )
+        scatter = _sigma_g_stack(m, d, cfg.tie_policy)
+        ests = _latent_mi_stack(_symmetric_stack(scatter), cfg.effective_z, kind)
+        diag = np.mean(np.diagonal(scatter, axis1=1, axis2=2), axis=1).tolist()
+        return [dataclasses.replace(e, diag_second_moment=s) for e, s in zip(ests, diag)]
     if kind is EstimatorKind.RHO:
-        latent = _sine_map(spearman_matrix(m, cfg.tie_policy), "spearman")
+        latent = _sine_map(_spearman_stack(m, d, cfg.tie_policy), "spearman")
     elif kind is EstimatorKind.TAU:
-        latent = _sine_map(kendall_matrix(m), "kendall")
+        latent = _sine_map(_kendall_stack(m, d), "kendall")
     else:
         raise DomainError(f"unknown estimator kind {kind!r}")
-    est = mi_from_latent(latent, cfg.effective_z)
-    return dataclasses.replace(est, estimator=kind)
+    return _latent_mi_stack(_symmetric_stack(latent), cfg.effective_z, kind)
 
 
 def digamma(x: float) -> float:
@@ -349,10 +408,17 @@ def knn_entropy(p, k: int = DEFAULT_K) -> float:
         If n <= k.
     """
     m = ensure_data_matrix(p)
-    n, d = m.shape
-    if d == 1:
+    if m.shape[1] == 1:
         return _marginal_entropies(m, k)[0]
-    _check_knn_shape(n, k)
+    _check_knn_shape(m.shape[0], k)
+    return _joint_entropy(m, k)
+
+
+def _joint_entropy(m: np.ndarray, k: int) -> float:
+    """:func:`knn_entropy`'s tree path on a checked matrix of d >= 2 columns."""
+    from scipy.spatial import cKDTree
+
+    n, d = m.shape
     # Equal rows share their first entry, so rows can repeat only where it does.
     first = np.sort(m[:, 0])
     if np.any(first[1:] == first[:-1]):
@@ -361,7 +427,7 @@ def knn_entropy(p, k: int = DEFAULT_K) -> float:
             return math.inf
     e = np.frexp(np.max(np.abs(m)))[1]
     unit = np.ldexp(m, -e)
-    dist, _ = cKDTree(unit).query(unit, k=k + 1)
+    dist, _ = cKDTree(unit, leafsize=_LEAF_SIZE).query(unit, k=k + 1)
     # A distance past the float range is inf, as in the one-column pass.
     with np.errstate(over="ignore"):
         return _kl_entropy(n, d, k, np.ldexp(dist[:, k], e))
@@ -428,11 +494,21 @@ def mi_knn(x, k: int = DEFAULT_K) -> MiEstimate:
     any component diverges.
     """
     m = ensure_data_matrix(x)
+    return _knn_batch(m, m.shape[1], k)[0]
+
+
+def _knn_batch(m: np.ndarray, d: int, k: int) -> list[MiEstimate]:
+    """:func:`mi_knn` of each trial of d columns of ``m``: one marginal pass, one joint tree per trial."""
     parts = _marginal_entropies(m, k)
-    joint = knn_entropy(m, k)
-    if math.isinf(joint) or any(math.isinf(h) for h in parts):
-        return MiEstimate(value=math.inf, estimator=EstimatorKind.KNN)
-    return MiEstimate(value=float(sum(parts) - joint), estimator=EstimatorKind.KNN)
+    out = []
+    for lo in range(0, m.shape[1], d):
+        marginals = parts[lo:lo + d]
+        joint = marginals[0] if d == 1 else _joint_entropy(m[:, lo:lo + d], k)
+        if math.isinf(joint) or any(math.isinf(h) for h in marginals):
+            out.append(MiEstimate(value=math.inf, estimator=EstimatorKind.KNN))
+        else:
+            out.append(MiEstimate(value=float(sum(marginals) - joint), estimator=EstimatorKind.KNN))
+    return out
 
 
 def entropy_npn(x, z: float = DEFAULT_Z, k: int = DEFAULT_K, mi: MiEstimate | None = None) -> float:

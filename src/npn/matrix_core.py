@@ -96,18 +96,24 @@ def as_symmetric(a) -> np.ndarray:
     m = _real_array(a, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    return _symmetric_stack(m)
+
+
+def _symmetric_stack(m: np.ndarray) -> np.ndarray:
+    """:func:`as_symmetric` of every matrix of a float64 stack (..., D, D), shape unchecked."""
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix contains non-finite entries")
     return _symmetrize(m)
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """``(m + m.T) / 2``, taking ``m / 2 + m.T / 2`` only where the sum overflows."""
+    """``(m + m.T) / 2`` of each matrix, taking ``m / 2 + m.T / 2`` only where the sum overflows."""
+    mt = np.swapaxes(m, -1, -2)
     with np.errstate(over="ignore"):
-        out = (m + m.T) / 2.0
+        out = (m + mt) / 2.0
     over = np.isinf(out)
     if over.any():
-        out[over] = (m / 2.0 + m.T / 2.0)[over]
+        out[over] = (m / 2.0 + mt / 2.0)[over]
     return out
 
 
@@ -155,12 +161,22 @@ def cholesky_logdet(a) -> float:
     NotPositiveDefinite
         If a pivot is non-positive, i.e. ``a`` is singular or indefinite.
     """
-    m = as_symmetric(a)
+    return float(_logdet_stack(as_symmetric(a)))
+
+
+def _logdet_stack(m: np.ndarray) -> np.ndarray:
+    """:func:`cholesky_logdet` of every matrix of an exactly symmetric stack (..., D, D).
+
+    One stacked Cholesky call factors each matrix as a lone call does, and
+    each log-determinant is its own row's sum, so the bits are those of
+    one call per matrix. Raises NotPositiveDefinite if any matrix is not
+    positive definite.
+    """
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
 def sym_eigen(a) -> EigenDecomposition:

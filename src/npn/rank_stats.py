@@ -18,14 +18,21 @@ integer keys. It takes one block of columns (:func:`_column_blocks`) at a
 time, so it holds at most one block's sort beside its result, and one scan
 of the runs of equal sorted values gives the ranks and every tie count.
 
+The matrix builders also take a batch of trials side by side: the private
+``_*_stack`` forms treat each run of d columns as one trial's data and
+return a (T, d, d) stack, with the column-wise passes made once over all
+the columns and the per-trial products as one stacked call. Each trial's
+matrix has the bits of the public function on its columns alone, and the
+public functions are the batch of one.
+
 Kendall's tau uses the tau-a normalization: the pair-sign sum is divided by
 C(n, 2) and tied pairs contribute zero through sign(0) = 0. The sum is an
 exact integer from either private kernel: a blocked float32 GEMM of pair
-signs for small n, and for large n Knight's merge construction on integer
-rank keys, with the column pairs batched as the rows of one array. On a
-large input the merge kernel's chunks of pairs run on a thread pool, one
-worker per available core, and the result does not depend on the core
-count.
+signs, taken from rank differences, for small n, and for large n Knight's
+merge construction on integer rank keys, with the column pairs batched as
+the rows of one array. On a large input the merge kernel's chunks of pairs
+run on a thread pool, one worker per available core, and the result does
+not depend on the core count.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegenerateColumn, DomainError
-from .matrix_core import _real_array, as_symmetric
+from .matrix_core import _real_array, _symmetric_stack, as_symmetric
 
 __all__ = [
     "TiePolicy",
@@ -235,6 +242,25 @@ def gaussianize(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     return ndtri(out, out=out)
 
 
+def _trial_stack(m: np.ndarray, d: int) -> np.ndarray:
+    """An n x (T d) matrix's trials as a (T, n, d) view: trial t holds columns t d to t d + d - 1.
+
+    The batched estimators take the T trials' samples side by side, so the
+    column-wise passes run once over all of them and the per-trial
+    products run as one stacked call. Each slice of the stack is the
+    trial's matrix with a wider row stride. The stacked products and
+    reductions over it give the bits of the trial alone, except a BLAS dot
+    product, whose sum order follows the stride (:func:`_sigma_g_stack`).
+    """
+    return m.reshape(m.shape[0], -1, d).transpose(1, 0, 2)
+
+
+def _fill_diagonal(a: np.ndarray, value: float) -> None:
+    """Set the diagonal of every matrix of a stack (..., D, D) to ``value``."""
+    i = np.arange(a.shape[-1])
+    a[..., i, i] = value
+
+
 def sigma_g(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     """Uncentered second-moment matrix of the Gaussianized data.
 
@@ -245,9 +271,17 @@ def sigma_g(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
     Raises DegenerateColumn on a column with constant ranks, as
     :func:`gaussianize` does.
     """
-    xg = gaussianize(x, policy)
-    n = xg.shape[0]
-    return as_symmetric(xg.T @ xg / n)
+    m = ensure_data_matrix(x)
+    return _sigma_g_stack(m, m.shape[1], policy)[0]
+
+
+def _sigma_g_stack(m: np.ndarray, d: int, policy: TiePolicy) -> np.ndarray:
+    """:func:`sigma_g` of each trial of d columns of ``m``, as a (T, d, d) stack."""
+    xg = _trial_stack(gaussianize(m, policy), d)
+    if d == 1:
+        # A one-column Gram is a BLAS dot product, whose sum order follows the stride.
+        xg = xg.copy()
+    return _symmetric_stack(np.matmul(xg.mT, xg) / xg.shape[1])
 
 
 def spearman_matrix(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
@@ -265,22 +299,28 @@ def spearman_matrix(x, policy: TiePolicy = TiePolicy.LITERAL) -> np.ndarray:
         undefined for that column.
     """
     m = ensure_data_matrix(x)
-    n, d = m.shape
+    return _spearman_stack(m, m.shape[1], policy)[0]
+
+
+def _spearman_stack(m: np.ndarray, d: int, policy: TiePolicy) -> np.ndarray:
+    """:func:`spearman_matrix` of each trial of d columns of ``m``, as a (T, d, d) stack."""
+    n = m.shape[0]
     ranks = _put_ranks(m, policy, np.empty(m.shape))
     _check_spread(ranks)
     if d == 1:
-        return np.ones((1, 1))
+        return np.ones((m.shape[1] // d, 1, 1))
     # np.corrcoef(ranks, rowvar=False) step by step, on the columns as rows.
     xt = ranks.T
     xt -= xt.mean(axis=1)[:, None]
-    corr = np.dot(xt, xt.T)
+    r = _trial_stack(ranks, d)
+    corr = np.matmul(r.mT, r)
     corr *= 1 / (n - 1)
-    stddev = np.sqrt(np.diag(corr))
-    corr /= stddev[:, None]
-    corr /= stddev[None, :]
+    stddev = np.sqrt(np.diagonal(corr, axis1=1, axis2=2))
+    corr /= stddev[:, :, None]
+    corr /= stddev[:, None, :]
     np.clip(corr, -1, 1, out=corr)
-    corr = as_symmetric(corr)
-    np.fill_diagonal(corr, 1.0)
+    corr = _symmetric_stack(corr)
+    _fill_diagonal(corr, 1.0)
     return corr
 
 
@@ -311,48 +351,64 @@ def kendall_matrix(x) -> np.ndarray:
     DegenerateColumn.
     """
     m = ensure_data_matrix(x)
-    n, d = m.shape
+    return _kendall_stack(m, m.shape[1])[0]
+
+
+def _kendall_stack(m: np.ndarray, d: int) -> np.ndarray:
+    """:func:`kendall_matrix` of each trial of d columns of ``m``, as a (T, d, d) stack.
+
+    The kernel switch reads the trial's d, and the merge kernel takes the
+    within-trial column pairs of every trial as one pair list, going to its
+    thread pool only where one trial alone would.
+    """
+    n = m.shape[0]
     if n < 2:
         raise DomainError("Kendall correlation needs at least 2 samples")
+    trials = m.shape[1] // d
     if n >= 64 + 4 * d:
         j, k = np.triu_indices(d, 1)
-        total = np.zeros((d, d))
-        total[j, k] = total[k, j] = _pair_sign_sums(m, j, k)
+        first = np.arange(0, m.shape[1], d)[:, None]
+        total = np.zeros((trials, d, d))
+        sums = _pair_sign_sums(m, (j + first).ravel(), (k + first).ravel(), trials)
+        total[:, j, k] = total[:, k, j] = sums.reshape(trials, -1)
     else:
-        total = _sign_gram(m)
+        total = _sign_gram(m, d)
     out = total / (n * (n - 1) // 2)
-    np.fill_diagonal(out, 1.0)
+    _fill_diagonal(out, 1.0)
     return out
 
 
-def _sign_gram(m: np.ndarray) -> np.ndarray:
-    """Pair-sign sums of every column pair of a data matrix, as a float64 Gram matrix.
+def _sign_gram(m: np.ndarray, d: int) -> np.ndarray:
+    """Pair-sign sums of every column pair of each trial of d columns of ``m``, as (T, d, d) float64.
 
-    Takes a block of rows a at a time and forms, for every column at once,
-    the float32 signs (X[a] > X[b]) - (X[a] < X[b]) against every later row
-    b, then adds their Gram matrix S^T S to a float64 total. Every sum is an
-    integer below 2^24, so the float32 GEMM is exact, and a block holds
-    about ``_SIGN_BLOCK`` signs whatever n is. Entry (j, j) is C(n, 2) less
-    the pairs tied in column j.
+    The signs come from the literal ranks (:func:`_put_ranks`), held as
+    float32: a rank difference is an exact integer, so clipping it to
+    [-1, 1] gives sign(X[a] - X[b]). A block of rows a at a time forms
+    them, for every column at once, against every later row b, then adds
+    each trial's Gram matrix S^T S, one stacked GEMM, to a float64 total.
+    Every sum is an integer below 2^24, so the float32 GEMM is exact, and
+    a block holds about ``_SIGN_BLOCK`` signs, or one row's when that is
+    more. Entry (j, j) is C(n, 2) less the pairs tied in column j.
     """
-    n, d = m.shape
+    n, cols = m.shape
     if n > _FLOAT32_EXACT:
         raise DomainError(f"the pair-sign GEMM is exact for n <= 2^24, got n={n}")
-    rows = max(1, _SIGN_BLOCK // (n * d))
+    ranks = _put_ranks(m, TiePolicy.LITERAL, np.empty(m.shape, np.float32))
+    rows = max(1, _SIGN_BLOCK // (n * cols))
     # Keep each unordered pair once: row a + i against rows b > a + i.
     later = np.triu(np.ones((min(rows, n),) * 2, np.float32), 1)[:, :, None]
-    total = np.zeros((d, d))
+    total = np.zeros((cols // d, d, d))
     for a in range(0, n, rows):
-        lo, hi = m[a:a + rows, None, :], m[None, a:, :]
-        signs = np.subtract(lo > hi, lo < hi, dtype=np.float32)
+        signs = np.subtract(ranks[a:a + rows, None, :], ranks[None, a:, :])
+        np.clip(signs, -1.0, 1.0, out=signs)
         r = signs.shape[0]
         signs[:, :r] *= later[:r, :r]
-        signs = signs.reshape(-1, d)
-        total += signs.T @ signs
+        signs = _trial_stack(signs.reshape(-1, cols), d)
+        total += np.matmul(signs.mT, signs)
     return total
 
 
-def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray, trials: int = 1) -> np.ndarray:
     """Pair-sign sums of the column pairs (j, k) of a data matrix.
 
     Knight's construction: with the samples ordered by column j, ties
@@ -368,9 +424,11 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
 
     The keys and tie counts are built once and only read by the chunks, so
     on a large input the chunks run on a thread pool, one worker per
-    available core; NumPy's sorts and ufunc loops release the GIL. Every
-    pair's sum is an exact integer of its own chunk, so the result does not
-    depend on the worker count, and the pool is closed before returning.
+    available core; NumPy's sorts and ufunc loops release the GIL. The
+    pairs may come from ``trials`` trials of equal size, and the pool runs
+    only where one trial's pairs alone would take it. Every pair's sum is
+    an exact integer of its own chunk, so the result does not depend on
+    the worker count, and the pool is closed before returning.
     """
     n, d = m.shape
     untied = n * (n + 1) // 2
@@ -384,7 +442,7 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     ties = keys.sum(axis=1, dtype=np.int64) - untied
     keys -= 1
     slots = np.arange(n, dtype=np.int32 if narrow else np.int64)
-    workers, rows = _merge_chunks(j.size, n)
+    workers, rows = _merge_chunks(j.size, n, trials)
     sums = np.empty(j.size, np.int64)
 
     def chunk(lo: int) -> None:
@@ -411,16 +469,16 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     return n * (n - 1) // 2 - ties[j] - ties[k] + sums
 
 
-def _merge_chunks(pairs: int, n: int) -> tuple[int, int]:
+def _merge_chunks(pairs: int, n: int, trials: int = 1) -> tuple[int, int]:
     """Workers and column pairs per chunk for the merge kernel on ``pairs`` rows of n keys.
 
-    Below ``_THREAD_WORK`` key entries, or on one core, one thread takes
-    chunks of about ``_MERGE_BLOCK`` entries. Above it every available core
-    gets a worker, and the chunks shrink as the workers grow, so the chunks
-    in flight hold about ``_THREAD_BLOCK`` entries, or two rows of n when
-    those are larger.
+    Below ``_THREAD_WORK`` key entries in one of the ``trials`` trials the
+    pairs come from, or on one core, one thread takes chunks of about
+    ``_MERGE_BLOCK`` entries. Above it every available core gets a worker,
+    and the chunks shrink as the workers grow, so the chunks in flight hold
+    about ``_THREAD_BLOCK`` entries, or two rows of n when those are larger.
     """
-    cores = _available_cores() if pairs * n >= _THREAD_WORK else 1
+    cores = _available_cores() if pairs // trials * n >= _THREAD_WORK else 1
     if cores < 2:
         return 1, max(1, _MERGE_BLOCK // n)
     workers = min(cores, max(2, _THREAD_BLOCK // n))
@@ -511,8 +569,8 @@ def latent_from_rank_corr(m, kind: str) -> np.ndarray:
 def _sine_map(mat: np.ndarray, kind: str) -> np.ndarray:
     """:func:`latent_from_rank_corr` of an exactly symmetric matrix in [-1, 1], unchecked.
 
-    ``estimate_mi`` hands it the matrix :func:`spearman_matrix` or
-    :func:`kendall_matrix` has just built, which is both already.
+    ``estimate_mi`` hands it the stack of matrices (..., D, D) the Spearman
+    or Kendall builder has just made, which are both already.
     """
     if kind == "spearman":
         out = 2.0 * np.sin(np.pi * mat / 6.0)
@@ -521,5 +579,5 @@ def _sine_map(mat: np.ndarray, kind: str) -> np.ndarray:
     else:
         raise DomainError(f"unknown rank correlation kind {kind!r}")
     np.clip(out, -1.0, 1.0, out=out)
-    np.fill_diagonal(out, 1.0)
+    _fill_diagonal(out, 1.0)
     return out

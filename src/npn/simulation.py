@@ -25,6 +25,14 @@ outside and sweep values inside, drawing each trial's correlation matrix
 once and computing the rank estimators once wherever the data keep the
 clean sample's ranks.
 
+The trials run in batches of consecutive trials, about 2^16 data entries
+each. At each sweep value a batch's samples sit side by side as the
+columns of one matrix, and each estimator runs once over it: the
+column-wise passes once over all the columns, the per-trial products and
+factorizations as stacked calls. Each trial's estimate is the bits of
+``estimate_mi`` on its own data. A batch that raises an NpnError runs
+again one trial at a time, so each trial keeps its own outcome.
+
 Since every trial draws from its own streams, the trials are independent.
 A large enough run splits them into contiguous slices, one per available
 core, and runs each slice in a worker process forked for the call; the
@@ -47,7 +55,15 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateDraw, DomainError, NotPositiveDefinite, NpnError
-from .estimators import DEFAULT_K, EstimatorConfig, EstimatorKind, MiEstimate, estimate_mi, true_mi
+from .estimators import (
+    DEFAULT_K,
+    EstimatorConfig,
+    EstimatorKind,
+    MiEstimate,
+    _estimate_batch,
+    estimate_mi,
+    true_mi,
+)
 from .matrix_core import as_symmetric
 from .rank_stats import _available_cores, _column_blocks, _sorted_rows, ensure_data_matrix
 
@@ -77,10 +93,13 @@ _WISHART_RETRIES = 100
 _MIN_EIGENVALUE = 1e-10
 # From this much work on (trials x D x the sum of n over the sweep), with
 # at least two trials and two available cores, run_experiment runs slices
-# of the trials in forked worker processes. A two-worker pool costs about
-# 17 ms; the cheapest work per unit, experiment 2 at n = 100, D = 25,
-# takes about 50 ms serially at this size, so the pool is ahead from here.
+# of the trials in forked worker processes. On the cheapest work per unit,
+# experiment 2 at n = 100, D = 25, the batched serial loop and a two-worker
+# pool break even at about this size (45-48 ms each on two cores).
 _POOL_WORK = 1 << 16
+# Data entries (trials x n x D, at the sweep's largest n) per batch of
+# consecutive trials, which each estimator takes in one call.
+_BATCH_BLOCK = 1 << 16
 
 
 class MarginalTransform(enum.Enum):
@@ -395,59 +414,119 @@ def _keeps_order(clean: np.ndarray, bent: np.ndarray) -> bool:
     return True
 
 
-def _estimate(data: np.ndarray, cfg: EstimatorConfig) -> MiEstimate | None:
-    """``estimate_mi``, or None on an NpnError: an outcome that holds no data."""
-    try:
-        return estimate_mi(data, cfg)
-    except NpnError:
-        return None
+def _estimates(x: np.ndarray, d: int, cfg: EstimatorConfig) -> list[MiEstimate | None]:
+    """``estimate_mi`` of each trial of d columns of ``x``, None where it raises an NpnError.
 
-
-def _trial_records(
-    spec: ExperimentSpec,
-    drawn: tuple[np.ndarray, float] | None,
-    sweep_value: float,
-    trial: int,
-    memo: dict[EstimatorConfig, MiEstimate | None],
-) -> list[TrialRecord]:
-    """One trial's record of every estimator at one sweep value.
-
-    A rank estimator's outcome on data that keep the clean ranks is taken
-    from ``memo`` when there, and put there when not.
+    The trials run as one batch. If the batch raises an NpnError, they run
+    again one at a time, each on a contiguous copy of its columns, so every
+    trial gets exactly the outcome of its own call.
     """
-    failed = [TrialRecord(sweep_value, cfg.kind, math.inf, trial) for cfg in spec.estimators]
-    if drawn is None:
-        return failed
-    sigma, truth = drawn
     try:
-        data, keeps_ranks = _draw_trial_data(spec, sigma, sweep_value, trial)
+        return _estimate_batch(x, cfg, d)
     except NpnError:
-        return failed
+        pass
+    out: list[MiEstimate | None] = []
+    for lo in range(0, x.shape[1], d):
+        try:
+            out.append(estimate_mi(x[:, lo:lo + d].copy(), cfg))
+        except NpnError:
+            out.append(None)
+    return out
+
+
+def _draw_batch(
+    spec: ExperimentSpec,
+    drawn: list[tuple[np.ndarray, float] | None],
+    sweep_value: float,
+    trials: range,
+) -> tuple[np.ndarray, list[int], set[int]]:
+    """The data of a batch of trials side by side, and which trials they are.
+
+    Each trial's sample is drawn from its own streams into the next d
+    columns of one n x (T d) matrix; a trial with no correlation draw, or
+    whose data raise an NpnError, is left out. Returns the matrix, the
+    positions in ``trials`` of the trials it holds, in order, and the
+    positions whose data keep the clean sample's ranks.
+    """
+    n = int(sweep_value) if spec.experiment is ExperimentId.SAMPLE_SIZE else spec.n
+    d = spec.d
+    x = np.empty((n, len(trials) * d))
+    live: list[int] = []
+    keeps: set[int] = set()
+    for pos, (trial, truth) in enumerate(zip(trials, drawn)):
+        if truth is None:
+            continue
+        try:
+            data, keeps_ranks = _draw_trial_data(spec, truth[0], sweep_value, trial)
+        except NpnError:
+            continue
+        x[:, len(live) * d:(len(live) + 1) * d] = data
+        live.append(pos)
+        if keeps_ranks:
+            keeps.add(pos)
+    return x[:, :len(live) * d], live, keeps
+
+
+def _batch_records(
+    spec: ExperimentSpec,
+    drawn: list[tuple[np.ndarray, float] | None],
+    sweep_value: float,
+    trials: range,
+    memos: list[dict[EstimatorConfig, MiEstimate | None]],
+) -> list[TrialRecord]:
+    """A batch of trials' records of every estimator at one sweep value, trial by trial.
+
+    Each estimator runs once over the batch's data (:func:`_draw_batch`,
+    :func:`_estimates`). A rank estimator's outcome on a trial whose data
+    keep the clean ranks is taken from the trial's memo when there, and
+    put there when not.
+    """
+    x, live, keeps = _draw_batch(spec, drawn, sweep_value, trials)
+    d = spec.d
+    outcomes: list[list[MiEstimate | None]] = [[None] * len(spec.estimators) for _ in trials]
+    for c, cfg in enumerate(spec.estimators):
+        memoed = keeps if cfg.kind in _RANK_KINDS else set()
+        todo = [i for i, pos in enumerate(live) if pos not in memoed or cfg not in memos[pos]]
+        if todo:
+            cols = x if len(todo) == len(live) else x[:, [i * d + j for i in todo for j in range(d)]]
+            for i, est in zip(todo, _estimates(cols, d, cfg)):
+                if live[i] in memoed:
+                    memos[live[i]][cfg] = est
+                outcomes[live[i]][c] = est
+        for pos in memoed:
+            outcomes[pos][c] = memos[pos][cfg]
     records = []
-    for cfg in spec.estimators:
-        if keeps_ranks and cfg.kind in _RANK_KINDS:
-            if cfg not in memo:
-                memo[cfg] = _estimate(data, cfg)
-            est = memo[cfg]
-        else:
-            est = _estimate(data, cfg)
-        err = math.inf if est is None or est.is_infinite else (est.value - truth) ** 2
-        records.append(TrialRecord(sweep_value, cfg.kind, err, trial))
+    # A trial left out of the batch has no outcome, so its truth is never read.
+    for trial, truth, ests in zip(trials, drawn, outcomes):
+        for cfg, est in zip(spec.estimators, ests):
+            err = math.inf if est is None or est.is_infinite else (est.value - truth[1]) ** 2
+            records.append(TrialRecord(sweep_value, cfg.kind, err, trial))
     return records
+
+
+def _batches(spec: ExperimentSpec, trials: range) -> list[range]:
+    """Consecutive runs of ``trials``, about ``_BATCH_BLOCK`` data entries each at the sweep's largest n."""
+    if spec.experiment is ExperimentId.SAMPLE_SIZE:
+        n = max(int(v) for v in spec.sweep)
+    else:
+        n = spec.n
+    size = max(1, _BATCH_BLOCK // (n * spec.d))
+    return [trials[lo:lo + size] for lo in range(0, len(trials), size)]
 
 
 def _run_trials(spec: ExperimentSpec, trials: range) -> list[list[TrialRecord]]:
     """The records of ``trials``, one list per sweep value, each in trial order.
 
-    The loop is trial-major; see :func:`run_experiment`.
+    The loop is trial-major, one batch of trials at a time; see
+    :func:`run_experiment`.
     """
     cells: list[list[TrialRecord]] = [[] for _ in spec.sweep]
-    for trial in trials:
-        memo: dict[EstimatorConfig, MiEstimate | None] = {}
+    for batch in _batches(spec, trials):
+        memos: list[dict[EstimatorConfig, MiEstimate | None]] = [{} for _ in batch]
         for i, (sweep_value, records) in enumerate(zip(spec.sweep, cells)):
             if i == 0 or spec.experiment is ExperimentId.SIGMA:
-                drawn = _draw_truth(spec, sweep_value, trial)
-            records += _trial_records(spec, drawn, sweep_value, trial, memo)
+                drawn = [_draw_truth(spec, sweep_value, trial) for trial in batch]
+            records += _batch_records(spec, drawn, sweep_value, batch, memos)
     return cells
 
 
@@ -501,6 +580,15 @@ def run_experiment(spec: ExperimentSpec) -> list[MseSummary]:
     outcome or its error, and uses it again. The estimate is bit-identical
     to one computed afresh, so the records are too. They are aggregated in
     sweep-major order, as if the sweep were the outer loop.
+
+    The trials run in batches of consecutive trials (:func:`_batches`),
+    and each configured estimator runs once per batch and sweep value on
+    the batch's samples side by side, each trial's drawn from its own
+    streams. Every trial's estimate is bit-identical to ``estimate_mi`` on
+    its data alone. When a batch raises an NpnError, its trials run again
+    one at a time, so a failing trial records ``inf`` and the others their
+    values, exactly as with one call per trial; any other exception
+    propagates.
 
     On a large enough run (:func:`_workers`) the trials are split into
     contiguous slices, one per available core, and each slice runs in a

@@ -179,7 +179,7 @@ def test_criterion_5_dual_route_kernel_checks():
         x = rng.standard_normal((200, 5))
         x[:, ::2] = np.round(x[:, ::2], 1)
         fast = _pair_sign_sums(x, j, k) / pairs
-        slow = _sign_gram(x)[j, k] / pairs
+        slow = _sign_gram(x, x.shape[1])[0, j, k] / pairs
         assert np.max(np.abs(fast - slow)) <= 1e-12
     # Spearman identity on tie-free data
     n = 50

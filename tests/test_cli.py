@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -487,13 +488,13 @@ class TestEstimateCommand:
     def test_entropy_reuses_a_matching_rho(self, corr_csv, capsys, monkeypatch, ties, spearman_calls):
         # entropy_npn's rho is at literal ties; a midrank rho is computed again
         calls = []
-        real = estimators.spearman_matrix
+        real = estimators._spearman_stack
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "spearman_matrix", counted)
+        monkeypatch.setattr(estimators, "_spearman_stack", counted)
         argv = ["estimate", "--input", str(corr_csv), "--entropy", "--ties", ties]
         _, with_rho = run_json(capsys, argv + ["--estimators", "rho"])
         assert len(calls) == spearman_calls
@@ -889,3 +890,18 @@ def test_package_exports_every_module_list():
     listed = ["__version__"] + [name for module in modules for name in module.__all__]
     assert len(set(npn.__all__)) == len(npn.__all__)
     assert set(npn.__all__) == set(listed)
+
+
+def test_kd_tree_loads_where_knn_first_needs_it(corr_csv, capsys):
+    # importing the CLI leaves scipy.spatial unloaded; a knn estimate loads it and works
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    probe = "import sys, npn.cli; sys.exit('scipy.spatial' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    knn = ("import json, sys, npn.cli; code = npn.cli.main(['estimate', '--input', sys.argv[1], "
+           "'--estimators', 'knn']); sys.exit(code or 'scipy.spatial' not in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", knn, str(corr_csv)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    (est,) = json.loads(proc.stdout)["estimates"]
+    _, doc = run_json(capsys, ["estimate", "--input", str(corr_csv), "--estimators", "knn"])
+    assert est == doc["estimates"][0] and est["estimator"] == "knn"

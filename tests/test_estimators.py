@@ -8,6 +8,8 @@ E[log det R_hat] = log det P + sum_j (psi((n-j)/2) - psi((n-1)/2)),
 which the Monte Carlo tests below exercise directly.
 """
 
+import concurrent.futures
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,18 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from npn import matrix_core, rank_stats
+from npn import estimators, matrix_core, rank_stats
 from npn.errors import (
     DegenerateColumn,
     DomainError,
     InsufficientSamples,
     NotPositiveDefinite,
+    NpnError,
     SingularScatter,
 )
 from npn.estimators import (
     EstimatorConfig,
     EstimatorKind,
     MiEstimate,
+    _estimate_batch,
     _kl_entropy,
     _marginal_entropies,
     digamma,
@@ -41,7 +45,7 @@ from npn.estimators import (
     plugin_logdet_bias,
     true_mi,
 )
-from npn.matrix_core import cholesky_logdet
+from npn.matrix_core import cholesky_logdet, sym_eigen
 from npn.rank_stats import TiePolicy
 
 HALF_LOG_2PIE = 1.4189385332046727
@@ -199,6 +203,18 @@ class TestMiFromLatent:
         assert (est.lambda_min, est.clamped) == (0.0, 1)
 
 
+def test_mi_from_latent_equals_the_eigenvalue_formula_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for d in (2, 8, 25):
+        g = rng.standard_normal((d, d))
+        a = np.corrcoef(g @ g.T + 0.1 * np.eye(d))
+        w = sym_eigen(a).eigenvalues
+        for z in (1e-3, 0.5):
+            est = mi_from_latent(a, z)
+            want = 0.0 - 0.5 * float(np.sum(np.log(np.maximum(w, z))))
+            assert (est.value, est.lambda_min, est.clamped) == (want, float(w[-1]), int(np.sum(w < z)))
+
+
 class TestPluginBias:
     def test_frozen_reference_values(self):
         assert plugin_logdet_bias(50, 5) == pytest.approx(
@@ -275,6 +291,16 @@ class TestMiGaussianPlugin:
         x = np.random.default_rng(4).standard_normal((50, 3)) * 1e-300
         with pytest.raises(SingularScatter, match="singular:"):
             mi_gaussian_plugin(x)
+
+    def test_equals_the_np_cov_formula_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for n, d in ((50, 3), (100, 25), (1024, 8), (9, 8)):
+            x = rng.standard_normal((n, 2 * d)) @ rng.standard_normal((2 * d, 2 * d))
+            # np.cov's copy keeps the input's layout, and with it the order of its sums
+            for m in (x[:, :d], np.exp(x[:, ::2]), np.asfortranarray(x[:, d:]), x[::-1, :d]):
+                logdet = cholesky_logdet(np.cov(m, rowvar=False, bias=True))
+                want = -0.5 * (logdet - plugin_logdet_bias(n, d))
+                assert mi_gaussian_plugin(m).value == want, (n, d)
 
     def test_moderate_scale_keeps_the_ordinary_value(self):
         x = np.random.default_rng(4).standard_normal((50, 3))
@@ -453,16 +479,16 @@ class TestEstimateMi:
 
     @pytest.mark.parametrize(("kind", "calls"), [(EstimatorKind.RHO, 2), (EstimatorKind.TAU, 1)])
     def test_rank_latent_is_symmetrized_once(self, monkeypatch, kind, calls):
-        # spearman_matrix symmetrizes its result and sym_eigen its input; the
-        # sine map between them checks nothing the builders guarantee
-        real, seen = matrix_core.as_symmetric, []
+        # the Spearman builder symmetrizes its result and the eigen step its
+        # input; the sine map between them checks nothing the builders guarantee
+        real, seen = matrix_core._symmetric_stack, []
 
         def counted(a):
             seen.append(1)
             return real(a)
 
-        monkeypatch.setattr(matrix_core, "as_symmetric", counted)
-        monkeypatch.setattr(rank_stats, "as_symmetric", counted)
+        for module in (matrix_core, rank_stats, estimators):
+            monkeypatch.setattr(module, "_symmetric_stack", counted)
         x = np.random.default_rng(16).standard_normal((200, 4))
         estimate_mi(x, EstimatorConfig(kind))
         assert len(seen) == calls
@@ -601,6 +627,25 @@ class TestKnnEntropy:
             assert knn_entropy(x, k=k) == unique_rule_entropy(x)
         # (0.0, x) and (-0.0, x) are one row repeated
         assert (knn_entropy(signed, k=k) == math.inf) == (k <= 2)
+
+    def test_leaf_size_keeps_the_entropies_of_a_default_leaf_tree(self, monkeypatch):
+        # the k-th distance of a point is the same float at any leaf size
+        rng = np.random.default_rng(24)
+        inputs = []
+        for _ in range(12):
+            n, d = int(rng.integers(4, 1500)), int(rng.integers(2, 30))
+            inputs.append(rng.standard_normal((n, d)) @ rng.standard_normal((d, d)))
+        pair = rng.standard_normal((300, 4))
+        pair[[7, 99]] = pair[3]  # a row three times: inf at k <= 3
+        inputs.append(pair)
+        twice = rng.standard_normal((200, 3))
+        twice[100:] = twice[:100]  # every row twice: finite at k = 3 only
+        inputs.append(twice)
+        inputs += [scale * rng.standard_normal((400, 3)) for scale in (1e-170, 1e-160, 1e160)]
+        got = [[knn_entropy(x, k=k) for k in (1, 2, 3)] for x in inputs]
+        assert math.isinf(got[-5][1]) and math.isinf(got[-4][0]) and not math.isinf(got[-4][2])
+        monkeypatch.setattr(estimators, "_LEAF_SIZE", 16)  # cKDTree's default
+        assert got == [[knn_entropy(x, k=k) for k in (1, 2, 3)] for x in inputs]
 
     def test_two_dimensional_gaussian(self):
         rng = np.random.default_rng(18)
@@ -759,3 +804,118 @@ class TestEntropyNpn:
         x = rng.standard_normal((100, 2))
         x[:40, 1] = 2.5
         assert entropy_npn(x) == math.inf
+
+
+def estimate_bits(est: MiEstimate) -> tuple:
+    """Every field of an estimate, each float as its bits."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(est))
+
+
+BATCH_CONFIGS = [EstimatorConfig(kind) for kind in EstimatorKind] + [
+    EstimatorConfig(EstimatorKind.GAUSS, tie_policy=TiePolicy.MIDRANK),
+    EstimatorConfig(EstimatorKind.RHO, tie_policy=TiePolicy.MIDRANK),
+    EstimatorConfig(EstimatorKind.TAU, z=0.05),
+    EstimatorConfig(EstimatorKind.KNN, k=1),
+]
+
+
+def assert_batch_equals_each_call(xs, cfgs=BATCH_CONFIGS):
+    """Each trial's estimate in one batch is estimate_mi's on the trial alone, bit for bit.
+
+    Where some trial's call raises an NpnError, the batch raises one too.
+    Returns the number of batches that gave estimates.
+    """
+    batch, d, ran = np.hstack(xs), xs[0].shape[1], 0
+    for cfg in cfgs:
+        want = []
+        for x in xs:
+            try:
+                want.append(estimate_bits(estimate_mi(x, cfg)))
+            except NpnError:
+                want = None
+                break
+        if want is None:
+            with pytest.raises(NpnError):
+                _estimate_batch(batch, cfg, d)
+        else:
+            assert [estimate_bits(e) for e in _estimate_batch(batch, cfg, d)] == want, cfg
+            ran += 1
+    return ran
+
+
+class TestBatch:
+    """estimate_mi on a batch of trials side by side: each trial's bits, as alone."""
+
+    @pytest.mark.parametrize("experiment", [1, 2, 3, 4])
+    def test_every_kind_in_every_experiment(self, experiment):
+        from npn import simulation
+
+        spec = simulation.ExperimentSpec(
+            simulation.ExperimentId(experiment), trials=5, n=90, d=6, seed=3,
+        ).resolved()
+        for v in spec.sweep:
+            xs = []
+            for trial in range(spec.trials):
+                sigma, _ = simulation._draw_truth(spec, v, trial)
+                xs.append(simulation._draw_trial_data(spec, sigma, v, trial)[0])
+            assert assert_batch_equals_each_call(xs) >= len(BATCH_CONFIGS) - 1
+
+    @pytest.mark.parametrize(("n", "d"), [(100, 25), (1024, 8), (256, 8), (40, 2), (60, 1), (200, 30)])
+    def test_benchmark_and_edge_shapes(self, n, d):
+        rng = np.random.default_rng(n + d)
+        xs = [rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) for _ in range(4)]
+        assert assert_batch_equals_each_call(xs) == len(BATCH_CONFIGS)
+
+    @pytest.mark.parametrize("digits", [0, 1])
+    def test_literal_and_midrank_ties(self, digits):
+        rng = np.random.default_rng(70 + digits)
+        xs = [np.round(rng.standard_normal((80, 5)), digits) for _ in range(3)]
+        # rounding to integers leaves atoms every estimator but knn accepts
+        assert assert_batch_equals_each_call(xs) >= len(BATCH_CONFIGS) - 2
+
+    def test_outlier_ties(self):
+        from npn.simulation import inject_outliers
+
+        rng = np.random.default_rng(72)
+        xs = [inject_outliers(rng.standard_normal((100, 7)), 0.3, rng) for _ in range(4)]
+        assert assert_batch_equals_each_call(xs, BATCH_CONFIGS + [EstimatorConfig(EstimatorKind.KNN, k=40)]) > 0
+
+    @pytest.mark.parametrize(("n", "d"), [(5, 6), (6, 6), (2, 3), (3, 2)])
+    def test_n_at_most_d(self, n, d):
+        rng = np.random.default_rng(73)
+        xs = [rng.standard_normal((n, d)) for _ in range(3)]
+        assert_batch_equals_each_call(xs, [c for c in BATCH_CONFIGS if c.kind is not EstimatorKind.KNN])
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 25])
+    def test_both_kendall_kernels(self, d):
+        rng = np.random.default_rng(74 + d)
+        tau = [EstimatorConfig(EstimatorKind.TAU)]
+        for n in (63 + 4 * d, 64 + 4 * d):
+            xs = [np.round(rng.standard_normal((n, d)), 1) for _ in range(3)]
+            assert assert_batch_equals_each_call(xs, tau) == 1
+
+    def test_one_failing_trial_fails_the_batch(self):
+        rng = np.random.default_rng(75)
+        xs = [rng.standard_normal((50, 4)) for _ in range(3)]
+        xs[1][:, 2] = 1.0  # a constant column in the middle trial only
+        # tau of a constant column is 0 and knn's entropy inf: both tau and both knn configs run
+        assert assert_batch_equals_each_call(xs) == 4
+
+    def test_merge_kernel_threads_only_where_one_trial_would(self, monkeypatch):
+        # 40 trials of 28 pairs x n = 1,024 pass the thread threshold together, not alone
+        pools = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(1)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(rank_stats, "_available_cores", lambda: 4)
+        n, d, trials = 1024, 8, 40
+        assert 28 * n < rank_stats._THREAD_WORK <= trials * 28 * n
+        x = np.random.default_rng(76).standard_normal((n, trials * d))
+        _estimate_batch(x, EstimatorConfig(EstimatorKind.TAU), d)
+        assert pools == []
+        estimate_mi(np.random.default_rng(77).standard_normal((n, 64)), EstimatorConfig(EstimatorKind.TAU))
+        assert pools == [1]  # 2,016 pairs x 1,024 alone

@@ -94,7 +94,7 @@ def brute_force_kendall(x, y):
 def kernel_sums(x):
     """Both Kendall kernels' pair-sign sums over every column pair j <= k."""
     j, k = np.triu_indices(x.shape[1])
-    return _sign_gram(x)[j, k], _pair_sign_sums(x, j, k)
+    return _sign_gram(x, x.shape[1])[0, j, k], _pair_sign_sums(x, j, k)
 
 
 def assert_kernels_agree(x):
@@ -450,7 +450,7 @@ class TestKendall:
         assert rows > 1 and pairs % rows != 0
         x = np.round(np.random.default_rng(22).standard_normal((n, d)), 1)
         j, k = np.triu_indices(d, 1)
-        assert np.array_equal(_sign_gram(x)[j, k], _pair_sign_sums(x, j, k))
+        assert np.array_equal(_sign_gram(x, x.shape[1])[0, j, k], _pair_sign_sums(x, j, k))
 
     @pytest.mark.parametrize(("m", "copies"), [(4096, 8), (3641, 9)])
     def test_mergesort_on_both_sides_of_the_key_width_switch(self, m, copies):
@@ -460,7 +460,7 @@ class TestKendall:
         # gives the exact sum of all n = c m rows.
         rng = np.random.default_rng(23)
         small = np.round(rng.standard_normal((m, 2)), 1)
-        small_sum = _sign_gram(small)[0, 1]
+        small_sum = _sign_gram(small, 2)[0, 0, 1]
         big = rng.permutation(np.repeat(small, copies, axis=0))
         j, k = np.array([0]), np.array([1])
         assert _pair_sign_sums(big, j, k)[0] == copies * copies * small_sum
@@ -495,7 +495,7 @@ class TestKendall:
         x = np.random.default_rng(20).standard_normal((1500, 8))
         tracemalloc.start()
         try:
-            _sign_gram(x)
+            _sign_gram(x, x.shape[1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

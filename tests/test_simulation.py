@@ -393,19 +393,23 @@ def sweep_major(spec):
 
 
 def count_estimates(monkeypatch):
-    """Count run_experiment's estimate_mi calls by estimator kind.
+    """Count run_experiment's per-trial estimates by estimator kind.
 
-    One available core keeps run_experiment on the serial path: a call
-    counted in a worker process would not reach this count.
+    Each estimator takes a batch of trials in one call of
+    ``simulation._estimates``, which counts one estimate per trial of the
+    batch, the fallback's reruns included in that one count. One
+    available core keeps run_experiment on the serial path: a call counted
+    in a worker process would not reach this count.
     """
     monkeypatch.setattr(simulation, "_available_cores", lambda: 1)
     calls = {kind: 0 for kind in EstimatorKind}
+    real = simulation._estimates
 
-    def counted(x, cfg):
-        calls[cfg.kind] += 1
-        return estimate_mi(x, cfg)
+    def counted(x, d, cfg):
+        calls[cfg.kind] += x.shape[1] // d
+        return real(x, d, cfg)
 
-    monkeypatch.setattr(simulation, "estimate_mi", counted)
+    monkeypatch.setattr(simulation, "_estimates", counted)
     return calls
 
 
@@ -510,6 +514,67 @@ class TestTrialMajorLoop:
                 tracemalloc.stop()
 
         assert peak((0.0, 0.5, 1.0)) <= 1.05 * peak((0.0,))
+
+
+def records(spec):
+    """The serial trial loop's records of a spec, one list per sweep value."""
+    spec = spec.resolved()
+    return simulation._run_trials(spec, range(spec.trials))
+
+
+def records_one_at_a_time(spec, monkeypatch):
+    """:func:`records` with every batch one trial, so each estimator runs once per trial."""
+    with monkeypatch.context() as m:
+        m.setattr(simulation, "_BATCH_BLOCK", 1)
+        assert all(len(b) == 1 for b in simulation._batches(spec.resolved(), range(spec.trials)))
+        return records(spec)
+
+
+class TestBatches:
+    """Each estimator once per batch of trials: the records of one call per trial."""
+
+    def test_a_failing_trial_keeps_every_trials_record(self, monkeypatch):
+        # a constant column in trial 2 fails the plug-in, gauss and rho batches,
+        # which then run one trial at a time
+        draw = simulation._draw_trial_data
+
+        def with_constant_column(spec, sigma, sweep_value, trial):
+            data, keeps_ranks = draw(spec, sigma, sweep_value, trial)
+            if trial == 2:
+                data[:, 1] = 3.0
+            return data, keeps_ranks
+
+        monkeypatch.setattr(simulation, "_draw_trial_data", with_constant_column)
+        spec = ExperimentSpec(ExperimentId.MARGINALS, trials=4, n=40, d=4, sweep=(0.0, 1.0), seed=14)
+        got = records(spec)
+        assert got == records_one_at_a_time(spec, monkeypatch)
+        for rec in (r for cell in got for r in cell):
+            failed = rec.trial == 2 and rec.estimator is not EstimatorKind.TAU
+            assert math.isinf(rec.squared_error) == failed, rec
+
+    @pytest.mark.parametrize("experiment", list(ExperimentId))
+    def test_uneven_batches_equal_the_oracle(self, experiment, monkeypatch):
+        sweep = (16.0, 40.0) if experiment is ExperimentId.SAMPLE_SIZE else ()
+        spec = ExperimentSpec(experiment, trials=7, n=40, d=4, sweep=sweep, seed=15)
+        monkeypatch.setattr(simulation, "_BATCH_BLOCK", 3 * 40 * spec.resolved().d)
+        assert [len(b) for b in simulation._batches(spec.resolved(), range(7))] == [3, 3, 1]
+        assert run_experiment(spec) == sweep_major(spec)
+        assert records(spec) == records_one_at_a_time(spec, monkeypatch)
+
+    def test_a_slice_past_the_cap_equals_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_available_cores", lambda: 1)
+        spec = ExperimentSpec(ExperimentId.MARGINALS, trials=27, n=100, d=25, sweep=(0.0, 0.5), seed=16)
+        assert [len(b) for b in simulation._batches(spec.resolved(), range(27))] == [26, 1]
+        assert run_experiment(spec) == sweep_major(spec)
+
+    @pytest.mark.parametrize(
+        ("experiment", "trials", "n", "d", "sweep"),
+        [(ExperimentId.MARGINALS, 20, 100, 25, (0.0, 0.5)),
+         (ExperimentId.SAMPLE_SIZE, 8, 100, 8, (32.0, 64.0, 128.0, 256.0, 512.0, 1024.0))],
+    )
+    def test_a_benchmark_slice_is_one_batch(self, experiment, trials, n, d, sweep):
+        spec = ExperimentSpec(experiment, trials=trials, n=n, d=d, sweep=sweep).resolved()
+        assert simulation._batches(spec, range(trials, 2 * trials)) == [range(trials, 2 * trials)]
 
 
 class TestKeepsOrder:
@@ -664,14 +729,14 @@ class TestTrialPool:
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch):
-        trial_records = simulation._trial_records
+        batch_records = simulation._batch_records
 
-        def failing(spec, drawn, sweep_value, trial, memo):
-            if trial == 3:
+        def failing(spec, drawn, sweep_value, trials, memos):
+            if 3 in trials:
                 raise RuntimeError("trial 3 broke")
-            return trial_records(spec, drawn, sweep_value, trial, memo)
+            return batch_records(spec, drawn, sweep_value, trials, memos)
 
-        monkeypatch.setattr(simulation, "_trial_records", failing)
+        monkeypatch.setattr(simulation, "_batch_records", failing)
         pooled(monkeypatch, 2)
         spec = ExperimentSpec(ExperimentId.SAMPLE_SIZE, trials=4, d=3, sweep=(12.0,),
                               estimators=rho_only())
