@@ -5,16 +5,22 @@
 
 Writes N random CSV files to a temporary directory. Most are plain numeric
 files, each with at most a few odd parts: a byte order mark, a header row,
-blank or whitespace-only lines, padded cells, every line break
-``str.splitlines`` knows, CRLF and lone-CR endings, ragged rows, a trailing
-comma, ``nan``/``inf``, ``1_000``, overflowing or malformed tokens, one row
-or one column, and now and then a byte that is not UTF-8. Each checkout then
-reads every file in a fresh process, with its own ``src`` on the path and
-the interpreter running this script. The outcome of a file is the array's
-shape, dtype and a hash of its bytes, or the error's type, message, row and
-column. The report counts each kind of outcome, counts the differing files
-by their pair of outcome kinds, and prints the first of them. Exits 1 on
-any difference, 0 when every file agrees.
+blank or whitespace-only lines, padded cells, CRLF and lone-CR endings,
+ragged rows, a trailing comma, ``nan``/``inf``, ``1_000``, overflowing or
+malformed tokens, one row or one column, and now and then a byte that is
+not UTF-8. Pads and line ends also draw the eight characters that
+``str.splitlines`` breaks at besides ``\\n`` and ``\\r`` (``\\x0b``,
+``\\x0c``, ``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029). ``load_csv`` ends a
+line only at ``\\n``, ``\\r\\n`` or a lone ``\\r``, so these are whitespace
+inside a cell, and a line "ended" by one runs on into the next.
+
+Each checkout then reads every file in a fresh process, with its own
+``src`` on the path and the interpreter running this script. The outcome
+of a file is the array's shape, dtype and a hash of its bytes, or the
+error's type, message, row and column. The report counts each kind of
+outcome, counts the differing files by their pair of outcome kinds and
+those of them that hold none of the eight characters, and prints the
+first of them. Exits 1 on any difference, 0 when every file agrees.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ import tempfile
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve()
-LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-PADS = [" ", "\t", "\x1f", "\u2003", "\u3000", *LINE_BREAKS]
-ENDS = ["\r\n", "\r", *LINE_BREAKS]
+# Line breaks to str.splitlines, and whitespace that ends no row to load_csv.
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+PADS = [" ", "\t", "\x1f", "\u2003", "\u3000", *SPLITLINES_ONLY]
+ENDS = ["\r\n", "\r", *SPLITLINES_ONLY]
 ODD_CELLS = ["nan", "NaN", "-inf", "Infinity", "1e400", "-1e400", "1_000", "-0", ".5", "5.",
              "+1", "1e-320", "0x10", "x", "", " ", "1e", "--1", "1.0.0", "\u0661", "\ufeff1",
              "1\x002", "1e5j", '"1"']
@@ -131,6 +138,9 @@ def main(argv=None) -> int:
                                     for i in diffs)
         if moved:
             print("differing: " + ", ".join(f"{k} {v}" for k, v in moved.most_common()))
+            plain = [i for i in diffs if not any(c.encode() in (work / f"{i}.csv").read_bytes()
+                                                 for c in SPLITLINES_ONLY)]
+            print(f"differing files holding none of {SPLITLINES_ONLY!r}: {len(plain)}")
         for i in diffs[:10]:
             print(f"  file {i}: {(work / f'{i}.csv').read_bytes()!r}")
             print(f"    parent {parent[i]}\n    change {change[i]}")

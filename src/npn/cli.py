@@ -118,6 +118,12 @@ _ECHO_FIELDS = {
 # CSV dataset I/O
 
 
+def _cells(line: str) -> list[float]:
+    """The line's comma-separated cells as floats; ValueError if one is not a number."""
+    # str.strip also removes the separators \x1c-\x1f, which float rejects.
+    return [float(t.strip()) for t in line.split(",")]
+
+
 def _check_cells(line: str, lineno: int) -> None:
     """Raise the error of ``line``'s first cell, in column order, that is not a finite number."""
     for col, token in enumerate((t.strip() for t in line.split(",")), start=1):
@@ -131,34 +137,29 @@ def _check_cells(line: str, lineno: int) -> None:
                                  row=lineno, column=col)
 
 
-# Line breaks of ``str.splitlines`` that NumPy's reader takes for whitespace
-# inside a cell, as UTF-8 bytes; a file holding one takes the Python reader.
-_ODD_LINE_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-# Bytes per read of the guard that looks for them. Each read is searched
-# with the two bytes before it, so a break of up to three bytes that
-# straddles two reads is seen whole.
-_GUARD_CHUNK = 1 << 16
+def _lines(text: str) -> list[str]:
+    """``text`` split at ``\\n``, ``\\r\\n`` and a lone ``\\r``, the line breaks NumPy reads."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def load_csv(path) -> np.ndarray:
     """Read a numeric CSV file into an (n, D) matrix.
 
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; any other character
+    that ``str.splitlines`` takes for a line break (``\\x0b``, ``\\x0c``,
+    ``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029) is whitespace inside a cell.
     A single header row is auto-detected: if any comma-separated token of
-    the first row fails to parse as a number, the row is skipped. Tokens
-    like ``NaN`` or ``inf`` parse as numbers, so they are treated as data
-    and rejected with their position. Blank lines and a leading UTF-8 byte
-    order mark are ignored.
+    the first non-blank line fails to parse as a number, the line is
+    skipped. Tokens like ``NaN`` or ``inf`` parse as numbers, so they are
+    treated as data and rejected with their position. Blank lines and a
+    leading UTF-8 byte order mark are ignored.
 
-    For a regular file, NumPy's C reader (``np.loadtxt``) is tried first. A
-    file it cannot read as it stands, or reads with a warning, no rows or a
-    non-finite cell, goes to the Python reader :func:`_parse_csv`, and so
-    does any file holding a line break that ``str.splitlines`` knows and
-    NumPy does not (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, U+0085, U+2028,
-    U+2029). A file with a header takes that reader too, and so does a pipe
-    or any other input that is not a regular file, which is read once. Both
-    readers give the same bits, and every error below comes from the Python
-    reader. The guard reads the file in chunks of ``_GUARD_CHUNK`` bytes,
-    so beside the result the fast path holds one chunk, never the file.
+    For a regular file, NumPy's C reader (``np.loadtxt``) is tried first,
+    past the header if there is one. A file it cannot read as it stands, or
+    reads with a warning, no rows or a non-finite cell, goes to the Python
+    reader :func:`_parse_csv`, and so does a pipe or any other input that is
+    not a regular file, which is read once. Both readers give the same bits,
+    and every error below comes from the Python reader.
 
     Raises
     ------
@@ -170,37 +171,36 @@ def load_csv(path) -> np.ndarray:
     EmptyFile
         No data rows remain.
     """
-    # The C reader opens the file a second time, which a pipe cannot give.
+    # The header scan and the C reader each open the file, which a pipe cannot give.
     if Path(path).is_file():
         try:
-            if not _has_odd_line_break(path):
-                with warnings.catch_warnings():
-                    # NumPy warns on a file with no rows, which this makes an error.
-                    warnings.simplefilter("error")
-                    m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                                   encoding="utf-8-sig")
-                if np.isfinite(m).all():
-                    return m
+            with warnings.catch_warnings():
+                # NumPy warns on a file with no rows, which this makes an error.
+                warnings.simplefilter("error")
+                m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                               encoding="utf-8-sig", skiprows=_header_lineno(path))
+            if np.isfinite(m).all():
+                return m
         except (OSError, ValueError, Warning):
-            # An unreadable file, a cell NumPy cannot parse, a ragged row or a
-            # warning: the Python reader meets it again and names it.
+            # An unreadable file, a byte that is not UTF-8, a cell NumPy cannot
+            # parse, a ragged row or a warning: the Python reader meets it
+            # again and names it.
             pass
     return _parse_csv(path)
 
 
-def _has_odd_line_break(path) -> bool:
-    """Whether the file holds one of ``_ODD_LINE_BREAKS``, read ``_GUARD_CHUNK`` bytes at a time."""
-    tail = b""
-    with open(path, "rb") as f:
-        while chunk := f.read(_GUARD_CHUNK):
-            window = tail + chunk
-            # An ASCII window holds none of the multi-byte breaks, and isascii
-            # is far faster than their substring searches.
-            ascii_only = window.isascii()
-            if any(sep in window for sep in _ODD_LINE_BREAKS if sep.isascii() or not ascii_only):
-                return True
-            tail = window[-2:]
-    return False
+def _header_lineno(path) -> int:
+    """The line number of the file's header row, or 0 when its first non-blank line is data."""
+    # Universal newlines end a line where _lines does.
+    with open(path, encoding="utf-8-sig") as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                try:
+                    _cells(line)
+                except ValueError:
+                    return lineno
+                return 0
+    return 0
 
 
 def _read_text(path) -> str:
@@ -213,9 +213,8 @@ def _read_text(path) -> str:
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # The text before the bad byte decodes. With one more character it has
-        # as many lines as the byte's row number, also when it ends in a break.
-        row = len((exc.object[:exc.start].decode("utf-8") + ".").splitlines())
+        # The text before the bad byte decodes, and ends on the byte's row.
+        row = len(_lines(exc.object[:exc.start].decode("utf-8")))
         byte = exc.object[exc.start]
         raise ParseError(f"row {row}: byte {byte:#04x} is not UTF-8 ({exc.reason})",
                          row=row) from None
@@ -226,12 +225,11 @@ def _parse_csv(path) -> np.ndarray:
     rows: list[list[float]] = []
     skipped_header = False
     # Neither the text nor its lines are named, so each is freed once used.
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(_lines(_read_text(path)), start=1):
         if not line.strip():
             continue
         try:
-            # str.strip also removes the separators \x1c-\x1f, which float rejects.
-            row = [float(t.strip()) for t in line.split(",")]
+            row = _cells(line)
         except ValueError:
             if rows or skipped_header:
                 _check_cells(line, lineno)

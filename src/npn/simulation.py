@@ -193,6 +193,11 @@ class ExperimentSpec:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
         for v in self.sweep:
             self._check_sweep_value(v)
+        # mse_aggregate keys a cell by kind, so two configs of one kind would share it.
+        kinds = [cfg.kind for cfg in self.estimators]
+        if len(set(kinds)) != len(kinds):
+            raise DomainError("each estimator kind may appear once, got "
+                              + ",".join(kind.value for kind in kinds))
 
     def _check_sweep_value(self, v: float) -> None:
         if self.experiment is ExperimentId.SAMPLE_SIZE:

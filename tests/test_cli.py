@@ -40,7 +40,8 @@ def run_json(capsys, argv):
     return code, doc
 
 
-# The line breaks of str.splitlines that NumPy's reader does not break at.
+# The line breaks of str.splitlines other than \n and \r. Like NumPy's reader,
+# load_csv reads each of them as whitespace inside a cell.
 _LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -59,7 +60,8 @@ _ENDS = st.one_of(_PLAIN_ENDS, st.sampled_from(_LINE_BREAKS))
 @st.composite
 def _csv_files(draw):
     """CSV bytes: a byte order mark or a header row maybe, blank, padded or ragged rows,
-    a trailing comma, every line ending, and one row or one column at times.
+    a trailing comma, every line ending, and one row or one column at times. Pads
+    and line ends draw the characters of _LINE_BREAKS too, which end no row.
 
     Each file draws its cells, pads, line ends, rows and trailing commas
     from a plain pool or a full one, so that many files are plain but for
@@ -213,13 +215,16 @@ class TestLoadCsv:
         path = tmp_path / "m.csv"
         np.savetxt(path, np.random.default_rng(3).standard_normal((2000, 25)), fmt="%.17g",
                    delimiter=",")
-        tracemalloc.start()
-        try:
-            load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * path.stat().st_size
+        with_header = tmp_path / "header.csv"
+        with_header.write_bytes(b"x" + b",x" * 24 + b"\n" + path.read_bytes())
+        for file in (path, with_header):
+            tracemalloc.start()
+            try:
+                load_csv(file)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.5 * file.stat().st_size
 
     @pytest.mark.parametrize("text", [b"", b" \n\t\r\n\n"])
     def test_empty_file_keeps_its_message_and_lets_no_warning_out(self, tmp_path, text):
@@ -237,15 +242,33 @@ class TestLoadCsv:
                 load_csv(path)
         assert caught == []
 
-    def test_plain_file_takes_the_c_reader(self, tmp_path, monkeypatch):
-        path = tmp_path / "m.csv"
-        x = np.random.default_rng(6).standard_normal((40, 3))
-        np.savetxt(path, x, fmt="%.17g", delimiter=",")
-
+    @staticmethod
+    def _refuse_python_reader(monkeypatch):
         def python_reader(_):
             raise AssertionError("took the Python reader")
 
         monkeypatch.setattr(cli, "_parse_csv", python_reader)
+
+    def test_plain_file_takes_the_c_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        x = np.random.default_rng(6).standard_normal((40, 3))
+        np.savetxt(path, x, fmt="%.17g", delimiter=",")
+        self._refuse_python_reader(monkeypatch)
+        np.testing.assert_array_equal(load_csv(path), x)
+
+    @pytest.mark.parametrize("head, end", [
+        (b"x,y,z\n", b"\n"),
+        (b"\xef\xbb\xbfx,y,z\n", b"\n"),
+        (b"\n \t\n\nx,y,z\n", b"\n"),
+        (b"\xef\xbb\xbf\r\n\r\na b,1,\xe2\x80\xa8\r\n", b"\r\n"),
+        (b"\r\rx,y,z\r", b"\r"),
+    ], ids=["header", "bom", "blank-lines", "bom-blank-lines-crlf", "blank-lines-cr"])
+    def test_header_file_takes_the_c_reader(self, tmp_path, monkeypatch, head, end):
+        path = tmp_path / "m.csv"
+        x = np.random.default_rng(7).standard_normal((40, 3))
+        rows = (",".join(map(repr, row)).encode() for row in x.tolist())
+        path.write_bytes(head + b"".join(row + end for row in rows))
+        self._refuse_python_reader(monkeypatch)
         np.testing.assert_array_equal(load_csv(path), x)
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
@@ -263,53 +286,56 @@ class TestLoadCsv:
         finally:
             os.close(read)
 
-    def test_guard_holds_every_line_break_but_newline_and_return(self):
+    def test_line_breaks_are_newline_and_return_only(self):
+        # every other break of str.splitlines is in _LINE_BREAKS, which the
+        # tests below read as whitespace
         breaks = {chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) > 1}
         assert breaks - {"\n", "\r"} == set(_LINE_BREAKS)
-        assert cli._ODD_LINE_BREAKS == tuple(c.encode() for c in _LINE_BREAKS)
+        text = "1\r\n2\r3\n4" + "".join(_LINE_BREAKS) + "5"
+        assert cli._lines(text) == ["1", "2", "3", "4" + _LINE_BREAKS + "5"]
 
     @pytest.mark.parametrize("sep", list(_LINE_BREAKS))
-    def test_line_breaks_split_rows_as_str_splitlines_does(self, tmp_path, sep):
-        # np.loadtxt would read the first line as the row 1,2,3
+    def test_other_splitlines_breaks_are_whitespace_in_a_cell(self, tmp_path, monkeypatch, sep):
+        # the C reader reads them so, and the Python reader does the same
         path = tmp_path / "m.csv"
-        path.write_text(f"1,2{sep},3\n4,5,6\n", encoding="utf-8")
-        with pytest.raises(ParseError) as info:
-            load_csv(path)
-        assert str(info.value) == "row 2, column 1: cannot parse '' as a number"
+        path.write_text(f"1,2{sep},3\n4,5,{sep}6{sep}\n", encoding="utf-8")
+        np.testing.assert_array_equal(cli._parse_csv(path), [[1, 2, 3], [4, 5, 6]])
+        self._refuse_python_reader(monkeypatch)
+        np.testing.assert_array_equal(load_csv(path), [[1, 2, 3], [4, 5, 6]])
 
-    @pytest.mark.parametrize("size", range(1, 8))
-    def test_guard_sees_a_break_across_every_chunk_boundary(self, tmp_path, monkeypatch, size):
-        # np.loadtxt reads "1,<break>2" as the row 1,2; str.splitlines makes
-        # "1," a header line and 2 the one row, so a missed break shows
-        monkeypatch.setattr(cli, "_GUARD_CHUNK", size)
+    @pytest.mark.parametrize("sep", list(_LINE_BREAKS))
+    def test_both_readers_agree_on_other_splitlines_breaks_anywhere(self, tmp_path, sep):
+        # as a pad, inside a token, at the end of a header or a row, alone
+        # on a line and at the end of the file, in both outcomes
         path = tmp_path / "m.csv"
-        for sep in _LINE_BREAKS:
-            for offset in range(2 * size + 3):
-                path.write_bytes(b" " * offset + f"1,{sep}2\n".encode())
-                assert _outcome(load_csv, path) == _outcome(cli._parse_csv, path)
-                np.testing.assert_array_equal(load_csv(path), [[2.0]])
-        for text in (b"", b" \n\t\r\n\n"):
-            path.write_bytes(text)
-            assert _outcome(load_csv, path) == _outcome(cli._parse_csv, path)
+        for text in (f"1,{sep}2\n", f"{sep}1,2{sep}3\n", f"1,2{sep}3,4\n5,6,7\n",
+                     f"x,y{sep}\n1,2\n", f"1,2\n3,4{sep}5\n", f"{sep}\n{sep}\n1,2\n",
+                     f"{sep}", f"1,2\n3,nan{sep}", f"\ufeffx{sep}\r\n{sep}1,2\r"):
+            path.write_text(text, encoding="utf-8")
+            assert _outcome(load_csv, path) == _outcome(cli._parse_csv, path), text
 
     def test_peak_memory_stays_near_the_result_at_20000_by_25(self, tmp_path):
-        # the guard holds one chunk of the file, never all of it
+        # the C reader holds the result and no copy of the file's text
         path = tmp_path / "m.csv"
         np.savetxt(path, np.random.default_rng(8).standard_normal((20_000, 25)), fmt="%.17g",
                    delimiter=",")
-        tracemalloc.start()
-        try:
-            m = load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert m.shape == (20_000, 25)
-        assert peak < 1.5 * m.nbytes
+        with_header = tmp_path / "header.csv"
+        with_header.write_bytes(b"x" + b",x" * 24 + b"\n" + path.read_bytes())
+        for file in (path, with_header):
+            tracemalloc.start()
+            try:
+                m = load_csv(file)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert m.shape == (20_000, 25)
+            assert peak < 1.5 * m.nbytes
 
     @pytest.mark.parametrize(
         "text, row",
-        [(b"1,2\n3,4\xff\n", 2), (b"\xef\xbb\xbf\xff1,2\n", 1), (b"1\r\n2\x0b\xc3(\n", 3),
-         (b"a,b\n1,2\n\n3,\xe2\x80\n", 4)],
+        [(b"1,2\n3,4\xff\n", 2), (b"\xef\xbb\xbf\xff1,2\n", 1), (b"1\r\n2\x0b\xc3(\n", 2),
+         (b"a,b\n1,2\n\n3,\xe2\x80\n", 4), (b"a,\xff\n1,2\n", 1), (b"\n\r\na\xffb,c\n1,2\n", 3),
+         (b"1,2\r3,4\x0c\xff\n", 2), (b"1,2\x0c5,\xff\n3,4\n", 1)],
     )
     def test_byte_that_is_not_utf8_is_a_parse_error_with_its_row(self, tmp_path, text, row):
         path = tmp_path / "m.csv"
@@ -758,6 +784,14 @@ class TestSimulateCommand:
     def test_malformed_grid_is_usage_error(self, capsys, grid, message):
         assert main(["simulate", "--experiment", "1", "--grid", grid]) == 1
         assert capsys.readouterr().err == message
+
+    def test_estimator_given_twice_is_an_error(self, capsys):
+        argv = ["simulate", "--experiment", "4", "--trials", "3", "--estimators", "rho,rho",
+                "--grid", "0.3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: each estimator kind may appear once, got rho,rho\n"
 
     @pytest.mark.parametrize("argv", [["--grid", "inf"], ["--grid", "nan"], ["--grid", "1e400"],
                                       ["--grid=-inf"]])

@@ -210,6 +210,14 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             ExperimentSpec(ExperimentId.SIGMA, sweep=(1.0,))
 
+    @pytest.mark.parametrize("z", [1e-3, 1e-2])
+    def test_rejects_an_estimator_kind_given_twice(self, z):
+        # two configs of one kind would share one mse_aggregate cell
+        twice = (EstimatorConfig(EstimatorKind.RHO), EstimatorConfig(EstimatorKind.TAU),
+                 EstimatorConfig(EstimatorKind.RHO, z=z))
+        with pytest.raises(DomainError, match="each estimator kind may appear once, got rho,tau,rho"):
+            ExperimentSpec(ExperimentId.SIGMA, estimators=twice)
+
 
 def rho_only():
     return (EstimatorConfig(EstimatorKind.RHO, z=1e-3),)
