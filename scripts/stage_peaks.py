@@ -2,6 +2,7 @@
 """Print the wall time and ``tracemalloc`` peak of each stage of ``npn estimate`` on a CSV file.
 
     python3 scripts/stage_peaks.py DATA.csv [CHECKOUT ...] [--estimators gaussian,gauss,rho,tau]
+                                   [--pipe]
     python3 scripts/stage_peaks.py --simulate [CHECKOUT ...] [--seed S]
 
 The stages are the ones ``npn estimate --entropy`` runs: ``load_csv``, then
@@ -11,6 +12,11 @@ pass. The loaded matrix exists before each later stage starts, so those
 peaks leave it out; ``load_csv``'s peak includes it. The last row is the
 whole ``npn estimate`` command run in-process, which is how the benchmark's
 ``peak_alloc_mb`` counts it.
+
+``--pipe`` hands ``load_csv`` and the whole ``npn estimate`` the CSV
+through ``os.pipe``, as a ``/dev/fd`` path that a thread writes beside the
+read, instead of the file's path: a fresh pipe for each call. Run with and
+without it, the script compares a piped input with the same file on disk.
 
 A stage's time is the least of three untraced calls, and its peak comes
 from one more call under ``tracemalloc``, which slows allocation. Each
@@ -29,10 +35,13 @@ it with ``OPENBLAS_NUM_THREADS=1``, as the benchmark runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -58,14 +67,42 @@ def measure(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def child(csv: Path, estimators: str) -> None:
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A ``/dev/fd`` path that reads ``data`` from a pipe, written beside the read by a thread."""
+    read, write = os.pipe()
+
+    def feed():
+        # a reader that fails before reading closes the pipe under the write
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write, "wb") as stream:
+            stream.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
+        feeder.join()
+
+
+def child(csv: Path, estimators: str, pipe: bool) -> None:
     """Measure every stage in the checkout at the working directory."""
     sys.path[:0] = ["src"]
     from npn import cli
     from npn.estimators import EstimatorConfig, EstimatorKind, entropy_npn, estimate_mi
 
+    csv_bytes = csv.read_bytes() if pipe else None
+
+    def on_input(fn):
+        """``fn`` of the CSV's path, or with --pipe of a fresh pipe that carries its bytes."""
+        def call():
+            with piped(csv_bytes) if pipe else contextlib.nullcontext(str(csv)) as source:
+                return fn(source)
+        return call
+
     stages = {}
-    data, stages["load_csv"] = measure(cli.load_csv, csv)
+    data, stages["load_csv"] = measure(on_input(cli.load_csv))
     rho = None
     for name in estimators.split(","):
         cfg = EstimatorConfig(EstimatorKind(name))
@@ -76,9 +113,9 @@ def child(csv: Path, estimators: str) -> None:
     _, stages["entropy_npn (mi=)"] = measure(entropy_npn, data, mi=rho)
     del data
     with tempfile.TemporaryDirectory(prefix="stage-peaks-") as work:
-        argv = ["estimate", "--input", str(csv), "--estimators", estimators, "--entropy",
-                "--out", str(Path(work) / "out.json")]
-        code, stages["npn estimate"] = measure(cli.main, argv)
+        argv = ["estimate", "--estimators", estimators, "--entropy",
+                "--out", str(Path(work) / "out.json"), "--input"]
+        code, stages["npn estimate"] = measure(on_input(lambda source: cli.main([*argv, source])))
     if code != 0:
         sys.exit(f"npn estimate exited with {code}")
     print(json.dumps(stages))
@@ -116,20 +153,22 @@ def main(argv=None) -> int:
     parser.add_argument("--simulate", action="store_true",
                         help="time the serial Monte Carlo trial loop, not npn estimate")
     parser.add_argument("--seed", type=int, default=0, help="workload seed for --simulate")
+    parser.add_argument("--pipe", action="store_true",
+                        help="feed the CSV through os.pipe, not as the file's path")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.simulate:
         checkouts, child_args = args.paths, ["--simulate", "--seed", str(args.seed)]
     elif args.paths:
         csv, checkouts = args.paths[0].resolve(), args.paths[1:]
-        child_args = [str(csv), "--estimators", args.estimators]
+        child_args = [str(csv), "--estimators", args.estimators, *["--pipe"] * args.pipe]
     else:
         parser.error("give DATA.csv, or --simulate")
     if args.child:
         if args.simulate:
             simulate_child(args.seed)
         else:
-            child(csv, args.estimators)
+            child(csv, args.estimators, args.pipe)
         return 0
     checkouts = checkouts or [SCRIPT.parent.parent]
     sides = [run_side(c.resolve(), child_args) for c in checkouts]

@@ -27,9 +27,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
+import itertools
 import json
 import math
+import shutil
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -118,28 +122,21 @@ _ECHO_FIELDS = {
 # CSV dataset I/O
 
 
-def _cells(line: str) -> list[float]:
-    """The line's comma-separated cells as floats; ValueError if one is not a number."""
-    # str.strip also removes the separators \x1c-\x1f, which float rejects.
-    return [float(t.strip()) for t in line.split(",")]
+def _numbers(lines, ndmin: int = 1) -> np.ndarray:
+    """The comma-separated cells of ``lines``, an iterable of lines, read by NumPy's C reader.
+
+    ValueError when a cell is not a number by NumPy's grammar or the rows are ragged.
+    """
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=ndmin)
 
 
-def _check_cells(line: str, lineno: int) -> None:
-    """Raise the error of ``line``'s first cell, in column order, that is not a finite number."""
-    for col, token in enumerate((t.strip() for t in line.split(",")), start=1):
-        try:
-            value = float(token)
-        except ValueError:
-            raise ParseError(f"row {lineno}, column {col}: cannot parse {token!r} as a number",
-                             row=lineno, column=col) from None
-        if not math.isfinite(value):
-            raise NonFiniteValue(f"row {lineno}, column {col}: non-finite value {token!r}",
-                                 row=lineno, column=col)
-
-
-def _lines(text: str) -> list[str]:
-    """``text`` split at ``\\n``, ``\\r\\n`` and a lone ``\\r``, the line breaks NumPy reads."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+def _is_header(line: str) -> bool:
+    """Whether a cell of ``line`` fails to parse as a number."""
+    try:
+        _numbers([line])
+    except ValueError:
+        return True
+    return False
 
 
 def load_csv(path) -> np.ndarray:
@@ -151,15 +148,15 @@ def load_csv(path) -> np.ndarray:
     A single header row is auto-detected: if any comma-separated token of
     the first non-blank line fails to parse as a number, the line is
     skipped. Tokens like ``NaN`` or ``inf`` parse as numbers, so they are
-    treated as data and rejected with their position. Blank lines and a
-    leading UTF-8 byte order mark are ignored.
+    treated as data and rejected with their position. Blank lines, also of
+    whitespace alone, and a leading UTF-8 byte order mark are ignored.
 
-    For a regular file, NumPy's C reader (``np.loadtxt``) is tried first,
-    past the header if there is one. A file it cannot read as it stands, or
-    reads with a warning, no rows or a non-finite cell, goes to the Python
-    reader :func:`_parse_csv`, and so does a pipe or any other input that is
-    not a regular file, which is read once. Both readers give the same bits,
-    and every error below comes from the Python reader.
+    One reader reads every input: NumPy's C reader (``np.loadtxt``) over the
+    non-blank lines, so a number is one by NumPy's grammar (``1_000`` and
+    ``\\u0661``, which ``float`` reads, are not). An input that cannot seek,
+    a pipe or a FIFO, is first copied to an unnamed temporary file. Only if
+    the C reader fails, warns, finds no rows or reads a non-finite cell does
+    :func:`_first_error` read the input again and name the error below.
 
     Raises
     ------
@@ -171,80 +168,79 @@ def load_csv(path) -> np.ndarray:
     EmptyFile
         No data rows remain.
     """
-    # The header scan and the C reader each open the file, which a pipe cannot give.
-    if Path(path).is_file():
-        try:
-            with warnings.catch_warnings():
-                # NumPy warns on a file with no rows, which this makes an error.
-                warnings.simplefilter("error")
-                m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                               encoding="utf-8-sig", skiprows=_header_lineno(path))
-            if np.isfinite(m).all():
-                return m
-        except (OSError, ValueError, Warning):
-            # An unreadable file, a byte that is not UTF-8, a cell NumPy cannot
-            # parse, a ragged row or a warning: the Python reader meets it
-            # again and names it.
-            pass
-    return _parse_csv(path)
+    # A pipe or a FIFO cannot seek back for the locator, so it is read from a copy.
+    with open(path, "rb") as raw, (raw if raw.seekable() else tempfile.TemporaryFile()) as f:
+        if f is not raw:
+            shutil.copyfileobj(raw, f)
+            f.seek(0)
+        with io.TextIOWrapper(f, encoding="utf-8-sig", newline=None) as text:
+            try:
+                lines = itertools.filterfalse(str.isspace, text)
+                first = next(lines, "")
+                with warnings.catch_warnings():
+                    # NumPy warns on input with no rows, which this makes an error.
+                    warnings.simplefilter("error")
+                    if not _is_header(first):
+                        lines = itertools.chain([first], lines)
+                    m = _numbers(lines, ndmin=2)
+                if np.isfinite(m).all():
+                    return m
+            except (ValueError, Warning):
+                # A byte that is not UTF-8, a cell NumPy cannot parse, a ragged
+                # row or no rows: the locator meets it again and names it.
+                pass
+            raise _first_error(text, path)
 
 
-def _header_lineno(path) -> int:
-    """The line number of the file's header row, or 0 when its first non-blank line is data."""
-    # Universal newlines end a line where _lines does.
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                try:
-                    _cells(line)
-                except ValueError:
-                    return lineno
-                return 0
-    return 0
+def _first_error(text: io.TextIOWrapper, path) -> NpnError:
+    """The error of the input that the C reader refused, with its place.
 
-
-def _read_text(path) -> str:
-    """The file's text as UTF-8, after an optional byte order mark.
-
-    Raises ParseError, with the row of the first byte that is not UTF-8,
-    where decoding would raise UnicodeDecodeError.
+    Reads ``text`` again from its start, one line at a time, and builds no
+    rows. A byte that is not UTF-8 comes first wherever it is, as the input
+    is then not text; otherwise the first error in file order does.
     """
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # The text before the bad byte decodes, and ends on the byte's row.
-        row = len(_lines(exc.object[:exc.start].decode("utf-8")))
-        byte = exc.object[exc.start]
-        raise ParseError(f"row {row}: byte {byte:#04x} is not UTF-8 ({exc.reason})",
-                         row=row) from None
-
-
-def _parse_csv(path) -> np.ndarray:
-    """:func:`load_csv` in Python: one ``float`` per cell, each error with its place."""
-    rows: list[list[float]] = []
-    skipped_header = False
-    # Neither the text nor its lines are named, so each is freed once used.
-    for lineno, line in enumerate(_lines(_read_text(path)), start=1):
-        if not line.strip():
-            continue
+    text.seek(0)
+    text.reconfigure(errors="surrogateescape")
+    error = None
+    width = None  # the column count of the first data row
+    header = True  # the first non-blank line may be a header
+    for row, line in enumerate(text, start=1):
+        raw = line.encode("utf-8", "surrogateescape")
         try:
-            row = _cells(line)
-        except ValueError:
-            if rows or skipped_header:
-                _check_cells(line, lineno)
-            skipped_header = True
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(f"row {row}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})",
+                              row=row)
+        if error or line.isspace():
             continue
-        # A finite row can sum past the float range; the scan then finds no bad cell.
-        if not math.isfinite(sum(row)):
-            _check_cells(line, lineno)
-        if rows and len(row) != len(rows[0]):
-            raise ParseError(f"row {lineno}: expected {len(rows[0])} columns, found {len(row)}",
-                             row=lineno)
-        rows.append(row)
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+        may_be_header, header = header, False
+        try:
+            cells = _numbers([line])
+        except ValueError:
+            if not may_be_header:
+                error = _cell_error(line, row)
+            continue
+        if not np.isfinite(cells).all():
+            error = _cell_error(line, row)
+        elif width is None:
+            width = cells.size
+        elif cells.size != width:
+            error = ParseError(f"row {row}: expected {width} columns, found {cells.size}",
+                               row=row)
+    return error or EmptyFile(f"{path}: no data rows")
+
+
+def _cell_error(line: str, row: int) -> NpnError:
+    """The error of ``line``'s first cell, in column order, that is not a finite number."""
+    for col, token in enumerate((t.strip() for t in line.split(",")), start=1):
+        try:
+            (value,) = _numbers([token]) if token else ()
+        except ValueError:
+            return ParseError(f"row {row}, column {col}: cannot parse {token!r} as a number",
+                              row=row, column=col)
+        if not math.isfinite(value):
+            return NonFiniteValue(f"row {row}, column {col}: non-finite value {token!r}",
+                                  row=row, column=col)
 
 
 def save_csv(x, path, header: tuple[str, ...] | None = None) -> None:

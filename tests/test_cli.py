@@ -1,11 +1,15 @@
 """End-to-end tests for the command line interface and CSV round trips."""
 
+import contextlib
+import errno
+import functools
 import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -83,6 +87,92 @@ def _csv_files(draw):
         lines.append(row + draw(st.sampled_from(commas)))
     text = "".join(line + draw(ends) for line in lines)
     return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+
+
+def _lines(text):
+    """``text`` split at ``\\n``, ``\\r\\n`` and a lone ``\\r``, the line breaks NumPy reads."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _numpy_float(token):
+    """``float`` that refuses what NumPy's reader refuses of it: ``_`` and non-ASCII digits."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not a number to NumPy: {token!r}")
+    return float(token)
+
+
+def _python_reader(path, number=float):
+    """The oracle of load_csv: the rule it documents, in Python, one ``number`` per cell.
+
+    It decodes the whole file, splits it into lines and builds a list of
+    rows. With ``float`` it also reads ``1_000`` and ``\\u0661``, which
+    NumPy's grammar, and so load_csv, refuses; ``_numpy_float`` refuses them.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # The text before the bad byte decodes, and ends on the byte's row.
+        row = len(_lines(exc.object[:exc.start].decode("utf-8")))
+        raise ParseError(f"row {row}: byte {exc.object[exc.start]:#04x} is not UTF-8 "
+                         f"({exc.reason})", row=row) from None
+
+    def check_cells(line, lineno):
+        for col, token in enumerate((t.strip() for t in line.split(",")), start=1):
+            try:
+                value = number(token)
+            except ValueError:
+                raise ParseError(f"row {lineno}, column {col}: cannot parse {token!r} as a number",
+                                 row=lineno, column=col) from None
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"row {lineno}, column {col}: non-finite value {token!r}",
+                                     row=lineno, column=col)
+
+    rows = []
+    skipped_header = False
+    for lineno, line in enumerate(_lines(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [number(t.strip()) for t in line.split(",")]
+        except ValueError:
+            if rows or skipped_header:
+                check_cells(line, lineno)
+            skipped_header = True
+            continue
+        # A finite row can sum past the float range; the scan then finds no bad cell.
+        if not math.isfinite(sum(row)):
+            check_cells(line, lineno)
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(f"row {lineno}: expected {len(rows[0])} columns, found {len(row)}",
+                             row=lineno)
+        rows.append(row)
+    if not rows:
+        raise EmptyFile(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+@contextlib.contextmanager
+def _pipe(data):
+    """A ``/dev/fd`` path that reads ``data`` from a pipe, written beside the read by a thread."""
+    read, write = os.pipe()
+
+    def feed():
+        # a reader that fails before reading closes the pipe under the write
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write, "wb") as stream:
+            stream.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
+        feeder.join(timeout=60)
+    assert not feeder.is_alive()
+
+
+needs_dev_fd = pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
 
 
 def _outcome(read, path):
@@ -243,17 +333,17 @@ class TestLoadCsv:
         assert caught == []
 
     @staticmethod
-    def _refuse_python_reader(monkeypatch):
-        def python_reader(_):
-            raise AssertionError("took the Python reader")
+    def _refuse_locator(monkeypatch):
+        def locator(*_):
+            raise AssertionError("took the error locator")
 
-        monkeypatch.setattr(cli, "_parse_csv", python_reader)
+        monkeypatch.setattr(cli, "_first_error", locator)
 
     def test_plain_file_takes_the_c_reader(self, tmp_path, monkeypatch):
         path = tmp_path / "m.csv"
         x = np.random.default_rng(6).standard_normal((40, 3))
         np.savetxt(path, x, fmt="%.17g", delimiter=",")
-        self._refuse_python_reader(monkeypatch)
+        self._refuse_locator(monkeypatch)
         np.testing.assert_array_equal(load_csv(path), x)
 
     @pytest.mark.parametrize("head, end", [
@@ -268,39 +358,67 @@ class TestLoadCsv:
         x = np.random.default_rng(7).standard_normal((40, 3))
         rows = (",".join(map(repr, row)).encode() for row in x.tolist())
         path.write_bytes(head + b"".join(row + end for row in rows))
-        self._refuse_python_reader(monkeypatch)
+        self._refuse_locator(monkeypatch)
         np.testing.assert_array_equal(load_csv(path), x)
 
-    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    @pytest.mark.parametrize("blank", [" ", "\t", "\x1f", "\u3000"])
+    def test_whitespace_lines_take_the_c_reader(self, tmp_path, monkeypatch, blank):
+        # NumPy alone would read such a line as a row of one empty cell
+        path = tmp_path / "m.csv"
+        path.write_text(f"{blank}\nx,y\n{blank}\n1,2\n{blank}\n3,4\n{blank}", encoding="utf-8")
+        self._refuse_locator(monkeypatch)
+        np.testing.assert_array_equal(load_csv(path), [[1, 2], [3, 4]])
+
+    @needs_dev_fd
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661"])
+    def test_cell_only_float_reads_is_not_a_number(self, tmp_path, cell):
+        # NumPy's grammar is the only one: in a data row the cell is a parse
+        # error, and in the first line it makes a header
+        text = f"1,2\n{cell},4\n".encode()
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        with _pipe(text) as piped:
+            for source in (path, piped):
+                with pytest.raises(ParseError) as info:
+                    load_csv(source)
+                assert (info.value.row, info.value.column) == (2, 1)
+                assert str(info.value) == f"row 2, column 1: cannot parse {cell!r} as a number"
+        path.write_bytes(f"{cell},2\n3,4\n".encode())
+        np.testing.assert_array_equal(load_csv(path), [[3, 4]])
+
+    @needs_dev_fd
     @pytest.mark.parametrize("text", [b"1,2\n3,4\n", b"a,b\n1,2\n3,4\n", b"1,2\n3,x\n"])
     def test_pipe_is_read_once(self, tmp_path, text):
         # a pipe gives its bytes to one read only: a reader that opened it
         # twice would find no rows
         path = tmp_path / "m.csv"
         path.write_bytes(text)
-        read, write = os.pipe()
-        with os.fdopen(write, "wb") as stream:
-            stream.write(text)  # well below a pipe's buffer
-        try:
-            assert _outcome(load_csv, f"/dev/fd/{read}") == _outcome(cli._parse_csv, path)
-        finally:
-            os.close(read)
+        with _pipe(text) as piped:
+            assert _outcome(load_csv, piped) == _outcome(load_csv, path)
 
-    def test_line_breaks_are_newline_and_return_only(self):
+    def test_line_breaks_are_newline_and_return_only(self, tmp_path):
         # every other break of str.splitlines is in _LINE_BREAKS, which the
         # tests below read as whitespace
         breaks = {chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) > 1}
         assert breaks - {"\n", "\r"} == set(_LINE_BREAKS)
         text = "1\r\n2\r3\n4" + "".join(_LINE_BREAKS) + "5"
-        assert cli._lines(text) == ["1", "2", "3", "4" + _LINE_BREAKS + "5"]
+        # the lines are 1, 2, 3 and one line 4..5, which is no number
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert str(info.value) == (
+            f"row 4, column 1: cannot parse {'4' + _LINE_BREAKS + '5'!r} as a number")
+        path.write_bytes(text[:-1].encode())
+        np.testing.assert_array_equal(load_csv(path), [[1], [2], [3], [4]])
 
     @pytest.mark.parametrize("sep", list(_LINE_BREAKS))
     def test_other_splitlines_breaks_are_whitespace_in_a_cell(self, tmp_path, monkeypatch, sep):
-        # the C reader reads them so, and the Python reader does the same
+        # the C reader reads them so, and the oracle does the same
         path = tmp_path / "m.csv"
         path.write_text(f"1,2{sep},3\n4,5,{sep}6{sep}\n", encoding="utf-8")
-        np.testing.assert_array_equal(cli._parse_csv(path), [[1, 2, 3], [4, 5, 6]])
-        self._refuse_python_reader(monkeypatch)
+        np.testing.assert_array_equal(_python_reader(path), [[1, 2, 3], [4, 5, 6]])
+        self._refuse_locator(monkeypatch)
         np.testing.assert_array_equal(load_csv(path), [[1, 2, 3], [4, 5, 6]])
 
     @pytest.mark.parametrize("sep", list(_LINE_BREAKS))
@@ -312,8 +430,9 @@ class TestLoadCsv:
                      f"x,y{sep}\n1,2\n", f"1,2\n3,4{sep}5\n", f"{sep}\n{sep}\n1,2\n",
                      f"{sep}", f"1,2\n3,nan{sep}", f"\ufeffx{sep}\r\n{sep}1,2\r"):
             path.write_text(text, encoding="utf-8")
-            assert _outcome(load_csv, path) == _outcome(cli._parse_csv, path), text
+            assert _outcome(load_csv, path) == _outcome(_python_reader, path), text
 
+    @needs_dev_fd
     def test_peak_memory_stays_near_the_result_at_20000_by_25(self, tmp_path):
         # the C reader holds the result and no copy of the file's text
         path = tmp_path / "m.csv"
@@ -321,13 +440,16 @@ class TestLoadCsv:
                    delimiter=",")
         with_header = tmp_path / "header.csv"
         with_header.write_bytes(b"x" + b",x" * 24 + b"\n" + path.read_bytes())
-        for file in (path, with_header):
-            tracemalloc.start()
-            try:
-                m = load_csv(file)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        data = path.read_bytes()
+        for source in (path, with_header, _pipe):
+            # a piped input is copied to a temporary file, not held
+            with source(data) if source is _pipe else contextlib.nullcontext(source) as file:
+                tracemalloc.start()
+                try:
+                    m = load_csv(file)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
             assert m.shape == (20_000, 25)
             assert peak < 1.5 * m.nbytes
 
@@ -335,9 +457,10 @@ class TestLoadCsv:
         "text, row",
         [(b"1,2\n3,4\xff\n", 2), (b"\xef\xbb\xbf\xff1,2\n", 1), (b"1\r\n2\x0b\xc3(\n", 2),
          (b"a,b\n1,2\n\n3,\xe2\x80\n", 4), (b"a,\xff\n1,2\n", 1), (b"\n\r\na\xffb,c\n1,2\n", 3),
-         (b"1,2\r3,4\x0c\xff\n", 2), (b"1,2\x0c5,\xff\n3,4\n", 1)],
+         (b"1,2\r3,4\x0c\xff\n", 2), (b"1,2\x0c5,\xff\n3,4\n", 1), (b"1,2\n3,x\n5,\xff\n", 3)],
     )
     def test_byte_that_is_not_utf8_is_a_parse_error_with_its_row(self, tmp_path, text, row):
+        # wherever the byte is, it comes before any other error: the input is not text
         path = tmp_path / "m.csv"
         path.write_bytes(text)
         with pytest.raises(ParseError) as info:
@@ -348,9 +471,14 @@ class TestLoadCsv:
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_both_readers_agree(self, tmp_path_factory, data):
+        # they differ only on a file with a cell that float alone reads, where
+        # load_csv meets the oracle given NumPy's grammar
         path = tmp_path_factory.mktemp("agree") / "m.csv"
-        path.write_bytes(data.draw(_csv_files()))
-        assert _outcome(load_csv, path) == _outcome(cli._parse_csv, path)
+        text = data.draw(_csv_files())
+        path.write_bytes(text)
+        float_only = any(cell.encode() in text for cell in ("1_000", "\u0661"))
+        oracle = functools.partial(_python_reader, number=_numpy_float if float_only else float)
+        assert _outcome(load_csv, path) == _outcome(oracle, path)
 
 
 class TestSaveCsv:
@@ -390,24 +518,13 @@ class TestEstimateCommand:
         for value in values.values():
             assert value == pytest.approx(MI_AT_06, abs=0.05)
 
-    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    @needs_dev_fd
     def test_input_from_a_pipe(self, corr_csv, capsys):
         argv = ["estimate", "--estimators", "rho,gaussian", "--entropy", "--input"]
         _, want = run_json(capsys, [*argv, str(corr_csv)])
-        read, write = os.pipe()
-
-        def feed():
-            with os.fdopen(write, "wb") as stream:
-                stream.write(corr_csv.read_bytes())
-
-        # the file is larger than a pipe's buffer, so it is written beside the read
-        feeder = threading.Thread(target=feed)
-        feeder.start()
-        try:
-            code, doc = run_json(capsys, [*argv, f"/dev/fd/{read}"])
-        finally:
-            feeder.join()
-            os.close(read)
+        # the file is larger than a pipe's buffer
+        with _pipe(corr_csv.read_bytes()) as piped:
+            code, doc = run_json(capsys, [*argv, piped])
         assert code == 0
         assert (doc["estimates"], doc["entropy"]) == (want["estimates"], want["entropy"])
 
@@ -571,6 +688,16 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "data error: row 2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+    @needs_dev_fd
+    def test_pipe_that_cannot_be_copied_is_data_error(self, capsys, monkeypatch):
+        def no_space(*_, **__):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_space)
+        with _pipe(b"1,2\n3,4\n") as piped:
+            assert main(["estimate", "--input", piped]) == 2
+        assert capsys.readouterr().err == "data error: [Errno 28] No space left on device\n"
 
     def test_unknown_estimator_is_usage_error(self, corr_csv):
         assert main(["estimate", "--input", str(corr_csv), "--estimators", "pearson"]) == 1
