@@ -83,7 +83,9 @@ def piped(data: bytes):
         yield f"/dev/fd/{read}"
     finally:
         os.close(read)
-        feeder.join()
+        feeder.join(timeout=60)
+    # a reader that leaves its end open keeps the write waiting
+    assert not feeder.is_alive(), "the pipe's reader left it open"
 
 
 def child(csv: Path, estimators: str, pipe: bool) -> None:

@@ -26,6 +26,7 @@ malformed input), 3 numeric failure (singular or degenerate computation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -130,15 +131,6 @@ def _numbers(lines, ndmin: int = 1) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=ndmin)
 
 
-def _is_header(line: str) -> bool:
-    """Whether a cell of ``line`` fails to parse as a number."""
-    try:
-        _numbers([line])
-    except ValueError:
-        return True
-    return False
-
-
 def load_csv(path) -> np.ndarray:
     """Read a numeric CSV file into an (n, D) matrix.
 
@@ -180,24 +172,32 @@ def load_csv(path) -> np.ndarray:
                 with warnings.catch_warnings():
                     # NumPy warns on input with no rows, which this makes an error.
                     warnings.simplefilter("error")
-                    if not _is_header(first):
+                    with contextlib.suppress(ValueError):  # a header stays dropped
+                        _numbers([first])
                         lines = itertools.chain([first], lines)
                     m = _numbers(lines, ndmin=2)
                 if np.isfinite(m).all():
                     return m
-            except (ValueError, Warning):
+                refusal = None
+            except (ValueError, Warning) as exc:
                 # A byte that is not UTF-8, a cell NumPy cannot parse, a ragged
                 # row or no rows: the locator meets it again and names it.
-                pass
-            raise _first_error(text, path)
+                refusal = exc
+            error = _first_error(text, path)
+            if error is None:
+                # The two disagree; NumPy's own error shows it, not a relabelled one.
+                raise RuntimeError(f"{path}: NumPy's reader refused the input, but the locator "
+                                   "finds no error in it") from refusal
+            raise error
 
 
-def _first_error(text: io.TextIOWrapper, path) -> NpnError:
+def _first_error(text: io.TextIOWrapper, path) -> NpnError | None:
     """The error of the input that the C reader refused, with its place.
 
     Reads ``text`` again from its start, one line at a time, and builds no
     rows. A byte that is not UTF-8 comes first wherever it is, as the input
-    is then not text; otherwise the first error in file order does.
+    is then not text; otherwise the first error in file order does. None if
+    the input has data rows and no error.
     """
     text.seek(0)
     text.reconfigure(errors="surrogateescape")
@@ -227,11 +227,13 @@ def _first_error(text: io.TextIOWrapper, path) -> NpnError:
         elif cells.size != width:
             error = ParseError(f"row {row}: expected {width} columns, found {cells.size}",
                                row=row)
-    return error or EmptyFile(f"{path}: no data rows")
+    if error is None and width is None:
+        return EmptyFile(f"{path}: no data rows")
+    return error
 
 
-def _cell_error(line: str, row: int) -> NpnError:
-    """The error of ``line``'s first cell, in column order, that is not a finite number."""
+def _cell_error(line: str, row: int) -> NpnError | None:
+    """The error of ``line``'s first cell, in column order, that is not a finite number, if any."""
     for col, token in enumerate((t.strip() for t in line.split(",")), start=1):
         try:
             (value,) = _numbers([token]) if token else ()

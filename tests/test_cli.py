@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -152,25 +151,17 @@ def _python_reader(path, number=float):
     return np.asarray(rows, dtype=np.float64)
 
 
-@contextlib.contextmanager
-def _pipe(data):
-    """A ``/dev/fd`` path that reads ``data`` from a pipe, written beside the read by a thread."""
-    read, write = os.pipe()
+def _script(name):
+    """The module of ``scripts/<name>.py``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def feed():
-        # a reader that fails before reading closes the pipe under the write
-        with contextlib.suppress(BrokenPipeError), os.fdopen(write, "wb") as stream:
-            stream.write(data)
 
-    feeder = threading.Thread(target=feed)
-    feeder.start()
-    try:
-        yield f"/dev/fd/{read}"
-    finally:
-        os.close(read)
-        feeder.join(timeout=60)
-    assert not feeder.is_alive()
-
+# the thread-fed pipe that scripts/stage_peaks.py --pipe measures
+_pipe = _script("stage_peaks").piped
 
 needs_dev_fd = pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
 
@@ -339,6 +330,22 @@ class TestLoadCsv:
 
         monkeypatch.setattr(cli, "_first_error", locator)
 
+    def test_refusal_the_locator_cannot_name_is_not_relabelled(self, tmp_path, monkeypatch):
+        # a valid file that the C reader refuses must not read as "no data rows"
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        numbers = cli._numbers
+
+        def refuse_the_whole_file(lines, ndmin=1):
+            if ndmin == 2:
+                raise ValueError("refused")
+            return numbers(lines, ndmin)
+
+        monkeypatch.setattr(cli, "_numbers", refuse_the_whole_file)
+        with pytest.raises(RuntimeError, match="finds no error") as info:
+            load_csv(path)
+        assert str(info.value.__cause__) == "refused"
+
     def test_plain_file_takes_the_c_reader(self, tmp_path, monkeypatch):
         path = tmp_path / "m.csv"
         x = np.random.default_rng(6).standard_normal((40, 3))
@@ -432,7 +439,6 @@ class TestLoadCsv:
             path.write_text(text, encoding="utf-8")
             assert _outcome(load_csv, path) == _outcome(_python_reader, path), text
 
-    @needs_dev_fd
     def test_peak_memory_stays_near_the_result_at_20000_by_25(self, tmp_path):
         # the C reader holds the result and no copy of the file's text
         path = tmp_path / "m.csv"
@@ -441,7 +447,8 @@ class TestLoadCsv:
         with_header = tmp_path / "header.csv"
         with_header.write_bytes(b"x" + b",x" * 24 + b"\n" + path.read_bytes())
         data = path.read_bytes()
-        for source in (path, with_header, _pipe):
+        # only the piped input needs /dev/fd
+        for source in (path, with_header, *([_pipe] if Path("/dev/fd").is_dir() else [])):
             # a piped input is copied to a temporary file, not held
             with source(data) if source is _pipe else contextlib.nullcontext(source) as file:
                 tracemalloc.start()
@@ -1024,10 +1031,7 @@ class TestMainErrors:
 
 
 def test_run_experiments_script_writes_every_table(tmp_path, monkeypatch, capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
-    spec = importlib.util.spec_from_file_location("run_experiments", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("run_experiments")
     monkeypatch.setattr(
         sys, "argv",
         ["run_experiments.py", "--out-dir", str(tmp_path), "--trials", "1", "--trials-e4", "1"],
