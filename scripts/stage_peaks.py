@@ -8,8 +8,11 @@
 The stages are the ones ``npn estimate --entropy`` runs: ``load_csv``, then
 ``estimate_mi`` of each estimator on the loaded matrix, then ``entropy_npn``
 given the rho estimate (``mi=``), so that it runs only the marginal kNN
-pass. The loaded matrix exists before each later stage starts, so those
-peaks leave it out; ``load_csv``'s peak includes it. The last row is the
+pass. Beside ``estimate_mi tau``, whose Kendall merge kernel runs on a
+thread pool on a large input, the ``tau (1 core)`` row measures it with
+``_available_cores`` forced to 1, as ``--simulate`` does, so that one
+thread runs every chunk. The loaded matrix exists before each later stage
+starts, so those peaks leave it out; ``load_csv``'s peak includes it. The last row is the
 whole ``npn estimate`` command run in-process, which is how the benchmark's
 ``peak_alloc_mb`` counts it.
 
@@ -91,7 +94,7 @@ def piped(data: bytes):
 def child(csv: Path, estimators: str, pipe: bool) -> None:
     """Measure every stage in the checkout at the working directory."""
     sys.path[:0] = ["src"]
-    from npn import cli
+    from npn import cli, rank_stats
     from npn.estimators import EstimatorConfig, EstimatorKind, entropy_npn, estimate_mi
 
     csv_bytes = csv.read_bytes() if pipe else None
@@ -110,6 +113,12 @@ def child(csv: Path, estimators: str, pipe: bool) -> None:
         cfg = EstimatorConfig(EstimatorKind(name))
         est, stages[f"estimate_mi {name}"] = measure(estimate_mi, data, cfg)
         rho = est if name == "rho" else rho
+        if name == "tau":
+            cores, rank_stats._available_cores = rank_stats._available_cores, lambda: 1
+            try:
+                _, stages["tau (1 core)"] = measure(estimate_mi, data, cfg)
+            finally:
+                rank_stats._available_cores = cores
     if rho is None:
         rho = estimate_mi(data, EstimatorConfig(EstimatorKind.RHO))
     _, stages["entropy_npn (mi=)"] = measure(entropy_npn, data, mi=rho)

@@ -107,6 +107,8 @@ _SIMULATE_COLUMNS = (
 _BANDABLE_COLUMNS = ("c", "d", "lower", "upper", "draws", "min_eigenvalue", "max_eigenvalue", "violations")
 
 _FORMATS = ("csv", "json")
+# Lines per block of the CSV error locator, :func:`_first_error`.
+_LOCATOR_LINES = 1 << 10
 _TIES = tuple(t.value for t in TiePolicy)
 _ESTIMATOR_NAMES = ",".join(k.value for k in EstimatorKind)
 
@@ -194,42 +196,64 @@ def load_csv(path) -> np.ndarray:
 def _first_error(text: io.TextIOWrapper, path) -> NpnError | None:
     """The error of the input that the C reader refused, with its place.
 
-    Reads ``text`` again from its start, one line at a time, and builds no
-    rows. A byte that is not UTF-8 comes first wherever it is, as the input
-    is then not text; otherwise the first error in file order does. None if
-    the input has data rows and no error.
+    Reads ``text`` again from its start, ``_LOCATOR_LINES`` lines at a time,
+    and keeps no rows. A byte that is not UTF-8 comes first wherever it is,
+    as the input is then not text; otherwise the first error in file order
+    does. Each block's bytes are checked for UTF-8 at once. Once a data row
+    has set the column count, each block's rows are checked by one C reader
+    call too, and only a block that fails it is read a line at a time, as
+    are the blocks up to that first data row. None if the input has data
+    rows and no error.
     """
     text.seek(0)
     text.reconfigure(errors="surrogateescape")
     error = None
     width = None  # the column count of the first data row
     header = True  # the first non-blank line may be a header
-    for row, line in enumerate(text, start=1):
-        raw = line.encode("utf-8", "surrogateescape")
+    rows = enumerate(text, start=1)
+    while block := list(itertools.islice(rows, _LOCATOR_LINES)):
+        raw = "".join(line for _, line in block).encode("utf-8", "surrogateescape")
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
+            # Every line ends at its one \n, so the bad byte's row counts them.
+            row = block[0][0] + raw.count(b"\n", 0, exc.start)
             return ParseError(f"row {row}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})",
                               row=row)
-        if error or line.isspace():
+        data = [(row, line) for row, line in block if not line.isspace()]
+        if error or width is not None and _rows_are_clean([line for _, line in data], width):
             continue
-        may_be_header, header = header, False
-        try:
-            cells = _numbers([line])
-        except ValueError:
-            if not may_be_header:
-                error = _cell_error(line, row)
-            continue
-        if not np.isfinite(cells).all():
-            error = _cell_error(line, row)
-        elif width is None:
-            width = cells.size
-        elif cells.size != width:
-            error = ParseError(f"row {row}: expected {width} columns, found {cells.size}",
-                               row=row)
+        for row, line in data:
+            may_be_header, header = header, False
+            try:
+                cells = _numbers([line])
+            except ValueError:
+                if not may_be_header:
+                    error = _cell_error(line, row)
+            else:
+                if not np.isfinite(cells).all():
+                    error = _cell_error(line, row)
+                elif width is None:
+                    width = cells.size
+                elif cells.size != width:
+                    error = ParseError(f"row {row}: expected {width} columns, found {cells.size}",
+                                       row=row)
+            if error:
+                break
     if error is None and width is None:
         return EmptyFile(f"{path}: no data rows")
     return error
+
+
+def _rows_are_clean(lines: list[str], width: int) -> bool:
+    """Whether every one of ``lines`` is a row of ``width`` finite numbers, by one C reader call."""
+    if not lines:
+        return True
+    try:
+        cells = _numbers(lines, ndmin=2)
+    except ValueError:
+        return False
+    return cells.shape[1] == width and bool(np.isfinite(cells).all())
 
 
 def _cell_error(line: str, row: int) -> NpnError | None:

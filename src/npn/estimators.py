@@ -74,6 +74,8 @@ DEFAULT_K = 2
 # the same float at any leaf size; this one is the fastest of a sweep over
 # the Monte Carlo shapes (see CHANGES.md).
 _LEAF_SIZE = 64
+# Entries per slice of columns in the marginal kNN pass's reach arithmetic.
+_REACH_BLOCK = 1 << 13
 
 
 class EstimatorKind(enum.Enum):
@@ -445,10 +447,10 @@ def _marginal_entropies(m: np.ndarray, k: int) -> list[float]:
     array, and their Kozachenko-Leonenko sums one reduction.
 
     Memory: the pass takes the columns one block (:func:`_column_blocks`)
-    at a time, so it holds five float64 or int64 arrays of a block's size,
-    not of the matrix's: about 2.4 MB, not 20 MB, at 20,000 x 25. Each
-    column's entropy is one row of its block's reduction, so the blocking
-    leaves its bits as they are.
+    at a time, and holds about 2.5 times a block's bytes
+    (:func:`_block_entropies`), not five times the matrix's. Each column's
+    entropy is one row of its block's reduction, so the blocking leaves its
+    bits as they are.
     """
     n, d = m.shape
     _check_knn_shape(n, k)
@@ -456,11 +458,35 @@ def _marginal_entropies(m: np.ndarray, k: int) -> list[float]:
 
 
 def _block_entropies(m: np.ndarray, k: int) -> list[float]:
-    """:func:`_marginal_entropies` of one block of columns."""
+    """:func:`_marginal_entropies` of one block of columns.
+
+    The sort order and the sorted values are the pass's two arrays of the
+    block's size; the reach arithmetic takes a slice of about
+    ``_REACH_BLOCK`` entries of whole columns at a time
+    (:func:`_log_reach_sums`), so a whole block peaks near 2.5 times its
+    bytes. Each column's sum is one reduction of its own row, so the
+    slicing leaves its bits as they are.
+    """
     n, d = m.shape
     order, s = _sorted_rows(m)
     # A run of max(k, 2) equal sorted values is the tree path's duplicate rule.
     dup = np.any(s[:, max(k, 2) - 1:] == s[:, : n - max(k, 2) + 1], axis=1)
+    step = max(1, _REACH_BLOCK // n)
+    sums = np.concatenate([_log_reach_sums(order[lo:lo + step], s[lo:lo + step], k)
+                           for lo in range(0, d, step)])
+    h = digamma(n) - digamma(k) + _unit_ball_log_volume(1) + (1 / n) * sums
+    return np.where(dup, np.inf, h).tolist()
+
+
+def _log_reach_sums(order: np.ndarray, s: np.ndarray, k: int) -> np.ndarray:
+    """Per row of sorted values ``s``, the sum of the logs of their kNN reaches in the order ``order``.
+
+    A value's reach is the least, over the k + 1 windows of k + 1
+    consecutive sorted values that hold it, of its largest distance inside
+    the window. The logs are summed in the columns' own order, ``order``
+    being the sort order of each row.
+    """
+    d, n = s.shape
     reach = np.full((d, n), np.inf)
     below, above = np.empty((d, n - k)), np.empty((d, n - k))
     # A difference past the float range is inf, as a tree's distance is.
@@ -472,16 +498,14 @@ def _block_entropies(m: np.ndarray, k: int) -> list[float]:
             np.subtract(s[:, k:], s[:, at], out=above)
             np.maximum(below, above, out=below)
             np.minimum(reach[:, at], below, out=reach[:, at])
-    # Freed first, so that eps and its logarithm add nothing to the peak.
-    del s, below, above
+    # Freed first, so that eps adds nothing to the peak.
+    del below, above
     eps = np.empty((d, n))
     np.put_along_axis(eps, order, reach, axis=1)
-    del order, reach
+    del reach
     # A zero distance needs k + 1 equal values, which dup already flags.
     with np.errstate(divide="ignore", invalid="ignore"):
-        sums = np.sum(np.log(eps, out=eps), axis=1)
-    h = digamma(n) - digamma(k) + _unit_ball_log_volume(1) + (1 / n) * sums
-    return np.where(dup, np.inf, h).tolist()
+        return np.sum(np.log(eps, out=eps), axis=1)
 
 
 def mi_knn(x, k: int = DEFAULT_K) -> MiEstimate:

@@ -30,15 +30,19 @@ C(n, 2) and tied pairs contribute zero through sign(0) = 0. The sum is an
 exact integer from either private kernel: a blocked float32 GEMM of pair
 signs, taken from rank differences, for small n, and for large n Knight's
 merge construction on integer rank keys, with the column pairs batched as
-the rows of one array. On a large input the merge kernel's chunks of pairs
-run on a thread pool, one worker per available core, and the result does
-not depend on the core count.
+the rows of one array. Each merge level of that construction stands alone:
+the levels inside blocks of 16 slots are one pass of comparisons, and each
+level above is one sort inside its own blocks, on a 16-bit key up to
+n = 2^15. On a large input the merge kernel's chunks of pairs run on a
+thread pool, one worker per available core, and the result does not
+depend on the core count.
 """
 
 from __future__ import annotations
 
 import enum
 import os
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -70,6 +74,10 @@ _MERGE_BLOCK = 1 << 13
 # between them, whatever the core count.
 _THREAD_WORK = 1 << 20
 _THREAD_BLOCK = 1 << 17
+# The merge kernel counts the inversions inside aligned blocks of this many
+# slots by direct comparison, and sorts inside the blocks of each level above.
+# At most 16, so that a block's count, C(16, 2) at most, fits a byte.
+_COMPARE_BLOCK = 16
 # Entries per block of whole columns in every pass that sorts the columns.
 _COLUMN_BLOCK = 1 << 16
 
@@ -340,10 +348,14 @@ def kendall_matrix(x) -> np.ndarray:
     Two private kernels give the same exact integer sums: the quadratic
     :func:`_sign_gram` below n = 64 + 4 D, and Knight's merge construction
     :func:`_pair_sign_sums` from there on. The switch sits near the
-    crossovers measured on one core: n of about 65 at D = 2 and 4, 85 at
-    D = 8, 130 at D = 16 and 170 at D = 25. On a large input (column pairs
-    times n of 2^20 or more) the merge kernel uses every core the process
-    may run on, and its result is the same bits on any number of them.
+    crossovers of one call measured on one core: the merge kernel is the
+    faster from n of about 90 at D = 2, 72 at D = 4, 80 at D = 8, 112 at
+    D = 16 and 130 to 165 at D = 25, and within 20% of the GEMM around
+    them. In a batch of 16 Monte Carlo trials it wins from n of about 48
+    at D = 2 to 8, 100 at D = 16 and 256 at D = 25. On a large input
+    (column pairs times n of 2^20 or more) the merge kernel uses every core
+    the process may run on, and its result is the same bits on any number
+    of them.
 
     A column of equal values ties every pair, so its tau-a with every
     other column is 0, which is well defined: unlike
@@ -420,9 +432,11 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray, trials: int = 1
     so T_j is the sum of column j's ranks less n (n + 1) / 2, and T_jk
     comes from one run scan of the sorted composite key. The pairs are the
     rows of one integer array, one chunk (:func:`_merge_chunks`) at a time,
-    and the integers are exact. With j = k the sum is C(n, 2) - T_j.
+    and :func:`_row_inversions` counts the inversions of every row of the
+    chunk. The integers are exact. With j = k the sum is C(n, 2) - T_j.
 
-    The keys and tie counts are built once and only read by the chunks, so
+    The keys, the tie counts and the merge levels' constants
+    (:func:`_merge_levels`) are built once and only read by the chunks, so
     on a large input the chunks run on a thread pool, one worker per
     available core; NumPy's sorts and ufunc loops release the GIL. The
     pairs may come from ``trials`` trials of equal size, and the pool runs
@@ -432,22 +446,21 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray, trials: int = 1
     """
     n, d = m.shape
     untied = n * (n + 1) // 2
-    # Ranks minus one, in vb bits: the keys of the composite sort and of the
-    # merge levels fit in 2 vb + 1, so they are int32 up to n = 2^15, and
-    # the ranks held for them uint16.
+    # Ranks minus one, in vb bits: the composite key fits in 2 vb + 1, so it
+    # is int32 up to n = 2^15, and the ranks held for it uint16.
     vb = (n - 1).bit_length()
     narrow = 2 * vb + 1 < 32
     keys = np.empty((d, n), np.uint16 if narrow else np.int64)
     _put_ranks(m, TiePolicy.LITERAL, keys.T)
     ties = keys.sum(axis=1, dtype=np.int64) - untied
     keys -= 1
-    slots = np.arange(n, dtype=np.int32 if narrow else np.int64)
+    levels = _merge_levels(n)
     workers, rows = _merge_chunks(j.size, n, trials)
     sums = np.empty(j.size, np.int64)
 
     def chunk(lo: int) -> None:
         a, b = j[lo:lo + rows], k[lo:lo + rows]
-        key = keys[a].astype(slots.dtype, copy=False)
+        key = keys[a].astype(np.int32 if narrow else np.int64, copy=False)
         key <<= vb
         key |= keys[b]
         key.sort(axis=1)
@@ -455,7 +468,7 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray, trials: int = 1
         if np.any((ties[a] > 0) & (ties[b] > 0)):
             joint = _run_ends(key[:, 1:] != key[:, :-1]).sum(axis=1, dtype=np.int64) - untied
         key &= (1 << vb) - 1
-        sums[lo:lo + rows] = joint - 2 * _row_inversions(key, vb, slots)
+        sums[lo:lo + rows] = joint - 2 * _row_inversions(key, levels)
 
     starts = range(0, j.size, rows)
     if workers > 1:
@@ -492,49 +505,118 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _row_inversions(v: np.ndarray, vb: int, slots: np.ndarray) -> np.ndarray:
+class _MergeLevels(NamedTuple):
+    """The merge levels that :func:`_row_inversions` sorts, for rows of n entries.
+
+    A sorted level's blocks hold ``2 << bit`` slots for each of ``bits``,
+    bit ``bit`` of a slot marks their right half, and ``right`` is the sum
+    of the right-half slots over every sorted level. ``slots`` is
+    ``np.arange(n)`` in the keys' dtype (:func:`_key_dtype`), padded with
+    zeros to a whole number of uint64 words, so that each level's half
+    marks are a shift of its words.
+    """
+
+    bits: list[int]
+    right: int
+    slots: np.ndarray
+
+
+def _key_dtype(n: int) -> type:
+    """The dtype of the merge levels' keys 2 v + 1 for rows of n entries: uint16 up to n = 2^15."""
+    return np.uint16 if n <= 1 << 15 else np.uint32
+
+
+def _merge_levels(n: int) -> _MergeLevels:
+    """:class:`_MergeLevels` of rows of n entries: the levels above ``_COMPARE_BLOCK`` slots."""
+    slots = np.zeros(-(-n // 4) * 4, _key_dtype(n))
+    slots[:n] = np.arange(n)
+    bits = list(range(_COMPARE_BLOCK.bit_length() - 1, (n - 1).bit_length()))
+    right = sum(int(slots[slots & 1 << bit != 0].sum(dtype=np.int64)) for bit in bits)
+    return _MergeLevels(bits, right, slots)
+
+
+def _row_inversions(v: np.ndarray, levels: _MergeLevels) -> np.ndarray:
     """Strict inversions (a < b with v[a] > v[b]) in each row of ``v``.
 
-    ``v`` holds integers in [0, 2^vb) and is overwritten. ``slots`` is
-    ``np.arange(n)`` in ``v``'s dtype and is only read, so concurrent calls
-    share it. The merge runs bottom up. At level l the key of slot p is
-    block | value | half: the block is p with its low l + 1 bits cleared,
-    and the half is bit l of p. One in-place row sort merges the two
-    sorted halves of every block, a left-half value ahead of an equal
-    right-half one. Each right-half value then lands ahead of its old slot
-    by the number of strictly larger left-half values, so the level's
-    inversions are the right-half slot sum before the sort minus the sum
-    after it. Moving bit l + 1 of the block down to the half bit gives the
-    next level's keys. Beside ``v`` the call holds two arrays of its shape,
-    and the level loop allocates nothing: one scratch array takes each
-    level's half bits.
+    ``v`` holds integers below 2^15 where n <= 2^15 and below 2^31 beyond,
+    and is only read; ``levels`` is :func:`_merge_levels` of its rows, so
+    concurrent calls share it. A pair of slots a < b is counted at the
+    merge level of the highest bit where a and b differ: there they lie in
+    the left and the right half of one aligned block of that level. No
+    level needs another's output. The levels inside blocks of
+    ``_COMPARE_BLOCK`` slots are one pass of comparisons
+    (:func:`_block_inversions`). Each level above is one sort inside that
+    level's blocks, the rows of one view, on the key v << 1 | half, where
+    half marks the right half. A left-half value lands ahead of an equal
+    right-half one, and each right-half value lands ahead of its slot by
+    the number of strictly larger left-half values, whatever order the
+    halves were in. So the level's inversions are the sum of its
+    right-half slots less the sum of the slots that hold right-half keys
+    once sorted. A last partial block is sorted alone, and only when it
+    has a right half.
+
+    Beside ``v`` the call holds three arrays of its shape in the keys'
+    dtype (:func:`_key_dtype`): v << 1, one level's keys, and the count of
+    sorted levels whose right-half keys landed in each slot. Each pass over
+    them, the sorts aside, runs on their uint64 words.
     """
-    key = v
-    key <<= 1
-    half = np.empty_like(key)
-    np.bitwise_and(slots, ~1, out=half)
-    half <<= vb + 1
-    key |= half
-    # Per slot: how often it held a right-half value before a sort, less after.
-    moved = np.empty_like(key)
-    np.bitwise_and(slots, 1, out=moved)
-    key |= moved
-    levels = (v.shape[1] - 1).bit_length()
-    for level in range(levels):
-        key.sort(axis=1)
-        np.bitwise_and(key, 1, out=half)
-        moved -= half
-        if level + 1 < levels:
-            bit = vb + 2 + level
-            np.right_shift(key, bit, out=half)
-            half &= 1
-            key &= ~((1 << bit) | 1)
-            key |= half
-            moved += half
-    # |moved| <= levels + 1 and slots < n, so the weighted slots stay exact
-    # in the key's dtype: below 2^20 for int32 keys (n <= 2^15).
-    moved *= slots
-    return moved.sum(axis=1, dtype=np.int64)
+    inversions = _block_inversions(v)
+    if not levels.bits:
+        return inversions
+    rows, n = v.shape
+    shifted = np.zeros((rows, levels.slots.size), levels.slots.dtype)
+    np.left_shift(v, 1, out=shifted[:, :n], casting="unsafe")
+    key = np.empty_like(shifted)
+    landed = np.zeros_like(shifted)
+    shifted_words, key_words = shifted.view(np.uint64), key.view(np.uint64)
+    landed_words = landed.view(np.uint64)
+    slot_words = levels.slots.view(np.uint64)
+    low_bits = np.ones(8 // key.itemsize, key.dtype).view(np.uint64)
+    for bit in levels.bits:
+        # Shifting a word moves each lane's bit down to its own lowest bit.
+        np.right_shift(slot_words, bit, out=key_words)
+        key_words &= low_bits
+        key_words |= shifted_words
+        block = 2 << bit
+        full = n - n % block
+        key[:, :full].reshape(rows, -1, block).sort(axis=2)
+        if n - full > block // 2:
+            key[:, full:n].sort(axis=1)
+        key_words &= low_bits
+        landed_words += key_words
+    # Freed first, so that the weighted sum's buffers add nothing to the peak.
+    del shifted, shifted_words, key, key_words
+    # landed is below 32 and slots below n, so int64 sums stay exact.
+    return inversions + levels.right - np.einsum("ij,j->i", landed, levels.slots, dtype=np.int64)
+
+
+def _block_inversions(v: np.ndarray) -> np.ndarray:
+    """Strict inversions inside each aligned block of ``_COMPARE_BLOCK`` slots of each row of ``v``.
+
+    These are the merge levels of blocks of 2 up to ``_COMPARE_BLOCK``
+    slots, counted by comparing every pair of slots in a block: slot i of
+    every block of every row is one contiguous row of a copy, and the
+    pairs of slots s apart are one comparison. The copy is padded to a
+    whole number of uint64 words with blocks of the largest value of its
+    dtype, which no value exceeds, so the padding adds no inversions. The
+    comparisons' bytes are added up eight at a time in uint64 words; a
+    block's count, at most C(16, 2), fits its byte.
+    """
+    b = _COMPARE_BLOCK
+    rows, n = v.shape
+    full = n - n % b
+    x = np.empty((b, rows, -(-n // (8 * b)) * 8), _key_dtype(n))
+    x[:, :, :full // b] = v[:, :full].reshape(rows, -1, b).transpose(2, 0, 1)
+    x[:, :, full // b:] = np.iinfo(x.dtype).max
+    if full < n:
+        x[:n - full, :, full // b] = v[:, full:].T
+    greater = np.empty((b - 1, *x.shape[1:]), bool)
+    words = greater.view(np.uint64)
+    count = np.zeros(words.shape, np.uint64)
+    for s in range(1, b):
+        np.greater(x[:b - s], x[s:], out=greater[:b - s])
+        np.add(count[:b - s], words[:b - s], out=count[:b - s])
+    return np.add.reduce(count).view(np.uint8).sum(axis=1, dtype=np.int64)
 
 
 def latent_from_rank_corr(m, kind: str) -> np.ndarray:

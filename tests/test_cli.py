@@ -475,6 +475,37 @@ class TestLoadCsv:
         assert info.value.row == row and info.value.column is None
         assert str(info.value).startswith(f"row {row}: byte 0x")
 
+    @pytest.mark.parametrize("fault", ["nan", "word", "ragged", "bad-byte", "bad-byte-after-nan"])
+    @pytest.mark.parametrize("at", [1, 3, cli._LOCATOR_LINES, cli._LOCATOR_LINES + 1,
+                                    cli._LOCATOR_LINES + 2, 3 * cli._LOCATOR_LINES + 2])
+    def test_locator_blocks_name_the_error_the_oracle_names(self, tmp_path, fault, at):
+        # the locator reads a block of lines per C reader call: a fault on
+        # either side of a block's edge, after a header and a blank line, and a
+        # bad byte in a later block than a cell error
+        lines = [b"x,y,z", b""] + [b"%d,%d,%d" % (i, i + 1, i + 2)
+                                   for i in range(3 * cli._LOCATOR_LINES + 2)]
+        faults = {"nan": b"1,nan,3", "word": b"1,2,x", "ragged": b"1,2", "bad-byte": b"1,\xff,3",
+                  "bad-byte-after-nan": b"1,nan,3"}
+        lines[at - 1] = faults[fault]
+        if fault == "bad-byte-after-nan":
+            lines[-1] = b"\xff"
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        oracle = functools.partial(_python_reader, number=_numpy_float)
+        assert _outcome(load_csv, path) == _outcome(oracle, path)
+
+    def test_late_error_in_a_large_file(self, tmp_path):
+        # the benchmark's 20,000 x 25 shape with a row of nan appended
+        path = tmp_path / "m.csv"
+        x = np.random.default_rng(0).standard_normal((20_000, 25))
+        np.savetxt(path, x, fmt="%.17g", delimiter=",")
+        with path.open("a") as f:
+            f.write(",".join(["nan"] * 25) + "\n")
+        with pytest.raises(NonFiniteValue) as info:
+            load_csv(path)
+        assert (info.value.row, info.value.column) == (20_001, 1)
+        assert str(info.value) == "row 20001, column 1: non-finite value 'nan'"
+
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_both_readers_agree(self, tmp_path_factory, data):

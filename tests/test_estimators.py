@@ -740,6 +740,28 @@ class TestMarginalPass:
             monkeypatch.setattr(rank_stats, "_COLUMN_BLOCK", size)
             assert _marginal_entropies(x, k) == blocks
 
+    @pytest.mark.parametrize("size", [1, 3000 * 7, 3000 * 30])
+    def test_reach_slices_leave_every_bit(self, size, monkeypatch):
+        # one column per slice, a partial last slice of 2 columns, and one slice
+        rng = np.random.default_rng(64)
+        x = rng.standard_normal((3000, 30))
+        x[:, 1::3] = np.round(x[:, 1::3], 2)  # ties
+        want = _marginal_entropies(x, 2)
+        monkeypatch.setattr(estimators, "_REACH_BLOCK", size)
+        assert _marginal_entropies(x, 2) == want
+
+    def test_block_peak_stays_below_three_blocks(self):
+        # the sort order and the sorted values, beside the reach arithmetic
+        # on a slice of the columns at a time
+        x = np.random.default_rng(63).standard_normal((1024, 64))
+        tracemalloc.start()
+        try:
+            estimators._block_entropies(x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
+
     def test_entropy_peak_stays_below_the_input_size(self):
         x = np.random.default_rng(62).standard_normal((20000, 25))
         tracemalloc.start()

@@ -621,6 +621,81 @@ class TestMergesortPairSignSum:
             np.column_stack([np.arange(100.0) // 3, np.arange(100.0)[::-1] // 7]))
 
 
+def quadratic_inversions(v):
+    """Strict inversions (a < b with v[a] > v[b]) of each row of ``v``, pair by pair."""
+    a, b = np.triu_indices(v.shape[1], 1)
+    return (v[:, a] > v[:, b]).sum(axis=1)
+
+
+def small_alphabet_inversions(v):
+    """Strict inversions of each row of small integers in [0, 8), from running counts of each value."""
+    seen = np.cumsum(v[:, :, None] == np.arange(8), axis=1) - (v[:, :, None] == np.arange(8))
+    larger = np.arange(8) > v[:, :, None]
+    return (seen * larger).sum(axis=(1, 2))
+
+
+def row_kinds(n, rng):
+    """Rows of n keys: a permutation, ties, sorted and reversed with ties, and one value."""
+    few = rng.integers(0, max(1, n // 4), n)
+    return np.stack([rng.permutation(n), rng.integers(0, 3, n), np.sort(few),
+                     np.sort(few)[::-1], np.full(n, n - 1)])
+
+
+# n at 2^k - 1, 2^k and 2^k + 1 around the smallest blocks (2 and 4 slots),
+# the last compared and the first sorted blocks (16 and 32) and the next
+# sorted levels (64 and 128); then a last partial block at the sorted levels
+# of 32 and 64 slots without a right half (96 + 10, 64 + 20) and with one
+# (96 + 20, 64 + 40).
+MERGE_LENGTHS = [2, 3, 4, 5, 15, 16, 17, 31, 32, 33, 63, 64, 65, 106, 84, 116, 104, 127, 128, 129]
+
+
+class TestRowInversions:
+    """The merge levels each stand alone: one comparison pass below 32 slots, one sort per level above."""
+
+    @pytest.mark.parametrize("n", MERGE_LENGTHS)
+    def test_matches_quadratic_count(self, n):
+        v = row_kinds(n, np.random.default_rng(n))
+        levels = rank_stats._merge_levels(n)
+        assert np.array_equal(rank_stats._row_inversions(v.astype(np.int32), levels),
+                              quadratic_inversions(v))
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_quadratic_count_on_any_row(self, row):
+        v = np.array([row, row[::-1]])
+        levels = rank_stats._merge_levels(len(row))
+        assert np.array_equal(rank_stats._row_inversions(v, levels), quadratic_inversions(v))
+
+    def test_sorted_levels_start_above_the_compared_blocks(self):
+        # every level of a row of at most 16 slots is compared
+        assert rank_stats._merge_levels(16).bits == []
+        assert rank_stats._merge_levels(17).bits == [4]
+        # blocks of 32 up to 32,768 slots
+        assert rank_stats._merge_levels(20_000).bits == list(range(4, 15))
+
+    def test_key_width(self):
+        # value << 1 | half: uint16 up to n = 2^15, uint32 beyond
+        assert rank_stats._merge_levels(2**15).slots.dtype == np.uint16
+        assert rank_stats._merge_levels(2**15 + 1).slots.dtype == np.uint32
+
+    def test_wide_keys(self):
+        n = 2**15 + 1
+        rng = np.random.default_rng(27)
+        v = np.stack([rng.integers(0, 8, n), np.sort(rng.integers(0, 8, n))[::-1]])
+        got = rank_stats._row_inversions(v, rank_stats._merge_levels(n))
+        assert np.array_equal(got, small_alphabet_inversions(v))
+
+    def test_wide_keys_through_the_pair_sign_sum(self):
+        # column 0 sorted and untied, so the sum is C(n, 2) - T_1 - 2 * inversions of column 1
+        n = 2**15 + 1
+        col = np.random.default_rng(28).integers(0, 8, n)
+        x = np.column_stack([np.arange(n, dtype=float), col])
+        counts = np.bincount(col)
+        want = n * (n - 1) // 2 - (counts * (counts - 1) // 2).sum()
+        want -= 2 * small_alphabet_inversions(col[None])[0]
+        assert _pair_sign_sums(x, np.array([0]), np.array([1]))[0] == want
+
+
 class TestColumnBlocks:
     @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (2**16, 1), (2**16 + 1, 2), (1000, 66)])
     def test_blocks_cover_every_column_once(self, n, d):
