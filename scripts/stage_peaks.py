@@ -4,6 +4,7 @@
     python3 scripts/stage_peaks.py DATA.csv [CHECKOUT ...] [--estimators gaussian,gauss,rho,tau]
                                    [--pipe]
     python3 scripts/stage_peaks.py --simulate [CHECKOUT ...] [--seed S]
+    python3 scripts/stage_peaks.py --kendall [CHECKOUT ...]
 
 The stages are the ones ``npn estimate --entropy`` runs: ``load_csv``, then
 ``estimate_mi`` of each estimator on the loaded matrix, then ``entropy_npn``
@@ -33,6 +34,16 @@ set-up), with ``_available_cores`` forced to 1, so that every trial runs in
 the measured process. The benchmark's pooled ``peak_alloc_mb`` sees only
 the parent, which runs no trial, so this is what a trial loop holds. Run
 it with ``OPENBLAS_NUM_THREADS=1``, as the benchmark runs.
+
+``--kendall`` measures Kendall's two private kernels, the pair-sign GEMM
+(``_sign_gram``) and the merge kernel (``_pair_sign_sums``), on one core
+(``_available_cores`` forced to 1), at the batch shapes the benchmark's
+workloads give one worker: 20 trials at n = 100, D = 25, 8 trials at D = 8
+for n = 32 to 1024, and one 20,000 x 25 call, where only the merge kernel
+runs (the GEMM is quadratic in n). The data are standard normal, trial t
+in columns t D to t D + D - 1, and a time is the least of
+``KENDALL_REPEATS`` calls, in milliseconds. Run it with
+``OPENBLAS_NUM_THREADS=1`` too.
 """
 
 from __future__ import annotations
@@ -53,12 +64,15 @@ SCRIPT = Path(__file__).resolve()
 DEFAULT_ESTIMATORS = "gaussian,gauss,rho,tau"
 MONTE_CARLO = ("mc_sample_size_d8", "mc_marginals_n100_d25")
 REPEATS = 3
+# (trials, n, D) of each --kendall batch; the merge kernel alone runs the last.
+KENDALL_SHAPES = [(20, 100, 25), *((8, n, 8) for n in (32, 64, 128, 256, 512, 1024)), (1, 20_000, 25)]
+KENDALL_REPEATS = 9
 
 
-def measure(fn, *args, **kwargs):
-    """``fn``'s result and its (least wall seconds, traced peak bytes) over REPEATS + 1 calls."""
+def measure(fn, *args, repeats=REPEATS, **kwargs):
+    """``fn``'s result and its (least wall seconds, traced peak bytes) over ``repeats`` + 1 calls."""
     seconds = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         fn(*args, **kwargs)
         seconds.append(time.perf_counter() - start)
@@ -147,6 +161,26 @@ def simulate_child(seed: int) -> None:
     print(json.dumps(stages))
 
 
+def kendall_child() -> None:
+    """Measure both Kendall kernels on one core in the checkout at the working directory."""
+    sys.path[:0] = ["src"]
+    import numpy as np
+    from npn import rank_stats
+
+    rank_stats._available_cores = lambda: 1
+    stages = {}
+    for trials, n, d in KENDALL_SHAPES:
+        m = np.random.default_rng(0).standard_normal((n, trials * d))
+        shape = f"{trials} x {n} x {d}"
+        if n < 20_000:
+            _, stages[f"gemm {shape}"] = measure(rank_stats._sign_gram, m, d, repeats=KENDALL_REPEATS)
+        j, k = np.triu_indices(d, 1)
+        first = np.arange(0, m.shape[1], d)[:, None]
+        _, stages[f"merge {shape}"] = measure(rank_stats._pair_sign_sums, m, (j + first).ravel(),
+                                              (k + first).ravel(), trials, repeats=KENDALL_REPEATS)
+    print(json.dumps(stages))
+
+
 def run_side(checkout: Path, child_args: list[str]) -> dict:
     argv = [sys.executable, str(SCRIPT), "--child", *child_args]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -163,6 +197,8 @@ def main(argv=None) -> int:
     parser.add_argument("--estimators", default=DEFAULT_ESTIMATORS)
     parser.add_argument("--simulate", action="store_true",
                         help="time the serial Monte Carlo trial loop, not npn estimate")
+    parser.add_argument("--kendall", action="store_true",
+                        help="time Kendall's two kernels at the benchmark's batch shapes")
     parser.add_argument("--seed", type=int, default=0, help="workload seed for --simulate")
     parser.add_argument("--pipe", action="store_true",
                         help="feed the CSV through os.pipe, not as the file's path")
@@ -170,14 +206,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.simulate:
         checkouts, child_args = args.paths, ["--simulate", "--seed", str(args.seed)]
+    elif args.kendall:
+        checkouts, child_args = args.paths, ["--kendall"]
     elif args.paths:
         csv, checkouts = args.paths[0].resolve(), args.paths[1:]
         child_args = [str(csv), "--estimators", args.estimators, *["--pipe"] * args.pipe]
     else:
-        parser.error("give DATA.csv, or --simulate")
+        parser.error("give DATA.csv, --simulate or --kendall")
     if args.child:
         if args.simulate:
             simulate_child(args.seed)
+        elif args.kendall:
+            kendall_child()
         else:
             child(csv, args.estimators, args.pipe)
         return 0
@@ -186,11 +226,12 @@ def main(argv=None) -> int:
     stage_width = max(len(stage) for stage in sides[0])
     for i, c in enumerate(checkouts):
         print(f"side {i}: {c}")
+    scale, unit = (1e3, "ms") if args.kendall else (1, "s")
     print(f"{'stage':<{stage_width}}" + "".join(
-        f"  {f'{i} s':>7}  {f'{i} MB':>7}" for i in range(len(sides))))
+        f"  {f'{i} {unit}':>7}  {f'{i} MB':>7}" for i in range(len(sides))))
     for stage in sides[0]:
         print(f"{stage:<{stage_width}}" + "".join(
-            f"  {s[stage][0]:>7.3f}  {s[stage][1] / 1e6:>7.2f}" for s in sides))
+            f"  {s[stage][0] * scale:>7.3f}  {s[stage][1] / 1e6:>7.2f}" for s in sides))
     return 0
 
 

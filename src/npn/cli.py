@@ -41,19 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateColumn,
-    DegenerateDraw,
-    DomainError,
-    EmptyFile,
-    InsufficientSamples,
-    NoConvergence,
-    NonFiniteValue,
-    NotPositiveDefinite,
-    NpnError,
-    ParseError,
-    SingularScatter,
-)
+from .errors import DataError, DomainError, EmptyFile, NonFiniteValue, NpnError, NumericError, ParseError
 from .estimators import DEFAULT_K, DEFAULT_Z, EstimatorConfig, EstimatorKind, entropy_npn, estimate_mi
 from .matrix_core import bandable_eigen_bounds
 from .rank_stats import TiePolicy, ensure_data_matrix
@@ -70,16 +58,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_DATA_ERRORS = (ParseError, NonFiniteValue, EmptyFile, OSError)
-_NUMERIC_ERRORS = (
-    NotPositiveDefinite,
-    NoConvergence,
-    DegenerateColumn,
-    SingularScatter,
-    InsufficientSamples,
-    DegenerateDraw,
-)
-
 
 class _UsageError(Exception):
     pass
@@ -88,8 +66,8 @@ class _UsageError(Exception):
 # Exit code and stderr prefix of each error group; the first group that
 # matches wins, and any other library error is a numeric failure.
 _ERROR_GROUPS = (
-    (_DATA_ERRORS, EXIT_DATA, "data error"),
-    (_NUMERIC_ERRORS, EXIT_NUMERIC, "numeric error"),
+    ((DataError, OSError), EXIT_DATA, "data error"),
+    (NumericError, EXIT_NUMERIC, "numeric error"),
     ((_UsageError, DomainError), EXIT_USAGE, "error"),
 )
 

@@ -75,6 +75,7 @@ DEFAULT_K = 2
 # the Monte Carlo shapes (see CHANGES.md).
 _LEAF_SIZE = 64
 # Entries per slice of columns in the marginal kNN pass's reach arithmetic.
+# It sets the trial loop's peak in that pass, which a test pins.
 _REACH_BLOCK = 1 << 13
 
 
@@ -320,7 +321,7 @@ def _estimate_batch(x, cfg: EstimatorConfig, d: int | None = None) -> list[MiEst
     """
     m = ensure_data_matrix(x)
     if m.shape[0] < 2:
-        raise DomainError("mutual information estimation needs n >= 2")
+        raise InsufficientSamples("mutual information estimation needs n >= 2")
     d = m.shape[1] if d is None else d
     kind = cfg.kind
     if kind is EstimatorKind.GAUSSIAN_PLUGIN:

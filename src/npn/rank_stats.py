@@ -33,7 +33,8 @@ merge construction on integer rank keys, with the column pairs batched as
 the rows of one array. Each merge level of that construction stands alone:
 the levels inside blocks of 16 slots are one pass of comparisons, and each
 level above is one sort inside its own blocks, on a 16-bit key up to
-n = 2^15. On a large input the merge kernel's chunks of pairs run on a
+n = 2^15. The merge kernel's chunks of pairs hold about 2^17 key entries
+between them on one worker or many; on a large input they run on a
 thread pool, one worker per available core, and the result does not
 depend on the core count.
 """
@@ -64,21 +65,23 @@ __all__ = [
 
 
 # Sign entries per block of the quadratic Kendall kernel, and the largest
-# integer below which every float32 partial sum of its GEMM is exact.
+# integer below which every float32 partial sum of its GEMM is exact. At the
+# merge kernel's 2^17, the GEMM on 1,500 x 8 would hold 1.04 MB, over the
+# 1 MB its test pins.
 _SIGN_BLOCK = 1 << 14
 _FLOAT32_EXACT = 1 << 24
-# Key entries (column pairs x n) per chunk of the merge Kendall kernel.
-_MERGE_BLOCK = 1 << 13
-# From _THREAD_WORK key entries on, the merge kernel maps its chunks over a
-# thread pool, and the chunks in flight hold about _THREAD_BLOCK entries
-# between them, whatever the core count.
+# From _THREAD_WORK key entries (column pairs x n) on, the merge Kendall
+# kernel maps its chunks over a thread pool. On one worker or many, the
+# chunks in flight hold about _FLIGHT_BLOCK key entries between them.
 _THREAD_WORK = 1 << 20
-_THREAD_BLOCK = 1 << 17
+_FLIGHT_BLOCK = 1 << 17
 # The merge kernel counts the inversions inside aligned blocks of this many
 # slots by direct comparison, and sorts inside the blocks of each level above.
 # At most 16, so that a block's count, C(16, 2) at most, fits a byte.
 _COMPARE_BLOCK = 16
 # Entries per block of whole columns in every pass that sorts the columns.
+# It sets the rank layer's peak beside its result, which the tests pin, and
+# with it the peak of ``npn estimate``.
 _COLUMN_BLOCK = 1 << 16
 
 
@@ -347,15 +350,17 @@ def kendall_matrix(x) -> np.ndarray:
     sign(X[a, j] - X[b, j]) * sign(X[a, k] - X[b, k]) divided by C(n, 2).
     Two private kernels give the same exact integer sums: the quadratic
     :func:`_sign_gram` below n = 64 + 4 D, and Knight's merge construction
-    :func:`_pair_sign_sums` from there on. The switch sits near the
-    crossovers of one call measured on one core: the merge kernel is the
-    faster from n of about 90 at D = 2, 72 at D = 4, 80 at D = 8, 112 at
-    D = 16 and 130 to 165 at D = 25, and within 20% of the GEMM around
-    them. In a batch of 16 Monte Carlo trials it wins from n of about 48
-    at D = 2 to 8, 100 at D = 16 and 256 at D = 25. On a large input
-    (column pairs times n of 2^20 or more) the merge kernel uses every core
-    the process may run on, and its result is the same bits on any number
-    of them.
+    :func:`_pair_sign_sums` from there on. Measured on one core, the merge
+    kernel is the faster in one call from n of about 76 at D = 2, 70 at
+    D = 4, 84 at D = 8, 90 at D = 16 and 100 at D = 25, and in a batch of
+    16 Monte Carlo trials from n of about 40 at D = 2 and 4, 48 at D = 8
+    and 90 at D = 16; at D = 20 to 25 the batch's two kernels stay within
+    20% of each other from n = 96 to 170, and at D = 32 the GEMM wins up
+    to n of about 190. No one threshold in n and D fits both kinds of
+    call: 64 + 4 D lies at or above every crossover, and near the batch's
+    at D = 25 to 32. On a large input (column pairs times n of 2^20 or
+    more) the merge kernel uses every core the process may run on, and its
+    result is the same bits on any number of them.
 
     A column of equal values ties every pair, so its tau-a with every
     other column is 0, which is well defined: unlike
@@ -427,7 +432,8 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray, trials: int = 1
     broken by column k, the discordant pairs are the strict inversions of
     column k, and the sum is C(n, 2) - T_j - T_k + T_jk - 2 * discordant,
     where T counts the pairs tied in a column and T_jk those tied in both.
-    The keys are the literal ranks of :func:`_put_ranks`. A row's sum of
+    The keys are the literal ranks of :func:`_put_ranks`, held in the
+    merge levels' key dtype (:func:`_key_dtype`). A row's sum of
     ends (:func:`_run_ends`) does not depend on the order of its entries,
     so T_j is the sum of column j's ranks less n (n + 1) / 2, and T_jk
     comes from one run scan of the sorted composite key. The pairs are the
@@ -438,19 +444,21 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray, trials: int = 1
     The keys, the tie counts and the merge levels' constants
     (:func:`_merge_levels`) are built once and only read by the chunks, so
     on a large input the chunks run on a thread pool, one worker per
-    available core; NumPy's sorts and ufunc loops release the GIL. The
-    pairs may come from ``trials`` trials of equal size, and the pool runs
-    only where one trial's pairs alone would take it. Every pair's sum is
-    an exact integer of its own chunk, so the result does not depend on
-    the worker count, and the pool is closed before returning.
+    available core; NumPy's sorts and ufunc loops release the GIL. One
+    worker runs the chunks in a plain loop, since a pool of one costs about
+    140 us a call. The pairs may come from ``trials`` trials of equal size,
+    and the pool runs only where one trial's pairs alone would take it.
+    Every pair's sum is an exact integer of its own chunk, so the result
+    does not depend on the worker count, and the pool is closed before
+    returning.
     """
     n, d = m.shape
     untied = n * (n + 1) // 2
-    # Ranks minus one, in vb bits: the composite key fits in 2 vb + 1, so it
-    # is int32 up to n = 2^15, and the ranks held for it uint16.
+    # Ranks minus one, in vb bits. The composite key a << vb | b takes 2 vb
+    # bits: int32 beside uint16 keys, up to n = 2^15, and int64 beyond.
     vb = (n - 1).bit_length()
-    narrow = 2 * vb + 1 < 32
-    keys = np.empty((d, n), np.uint16 if narrow else np.int64)
+    keys = np.empty((d, n), _key_dtype(n))
+    wide = np.promote_types(keys.dtype, np.int32)
     _put_ranks(m, TiePolicy.LITERAL, keys.T)
     ties = keys.sum(axis=1, dtype=np.int64) - untied
     keys -= 1
@@ -460,7 +468,7 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray, trials: int = 1
 
     def chunk(lo: int) -> None:
         a, b = j[lo:lo + rows], k[lo:lo + rows]
-        key = keys[a].astype(np.int32 if narrow else np.int64, copy=False)
+        key = keys[a].astype(wide)
         key <<= vb
         key |= keys[b]
         key.sort(axis=1)
@@ -485,17 +493,17 @@ def _pair_sign_sums(m: np.ndarray, j: np.ndarray, k: np.ndarray, trials: int = 1
 def _merge_chunks(pairs: int, n: int, trials: int = 1) -> tuple[int, int]:
     """Workers and column pairs per chunk for the merge kernel on ``pairs`` rows of n keys.
 
-    Below ``_THREAD_WORK`` key entries in one of the ``trials`` trials the
-    pairs come from, or on one core, one thread takes chunks of about
-    ``_MERGE_BLOCK`` entries. Above it every available core gets a worker,
-    and the chunks shrink as the workers grow, so the chunks in flight hold
-    about ``_THREAD_BLOCK`` entries, or two rows of n when those are larger.
+    On one worker or many, the chunks in flight hold about
+    ``_FLIGHT_BLOCK`` entries between them, or a row of n per worker when
+    that is more. Below ``_THREAD_WORK`` key entries in one of the
+    ``trials`` trials the pairs come from, or on one core, one worker takes
+    every chunk; above it every available core gets a worker. A chunk's
+    NumPy calls cost the same for one pair as for many, so a lone worker's
+    chunks are no smaller.
     """
     cores = _available_cores() if pairs // trials * n >= _THREAD_WORK else 1
-    if cores < 2:
-        return 1, max(1, _MERGE_BLOCK // n)
-    workers = min(cores, max(2, _THREAD_BLOCK // n))
-    return workers, max(1, _THREAD_BLOCK // (workers * n))
+    workers = min(cores, max(2, _FLIGHT_BLOCK // n))
+    return workers, max(1, _FLIGHT_BLOCK // (workers * n))
 
 
 def _available_cores() -> int:

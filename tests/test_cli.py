@@ -19,9 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npn import cli, estimators
+from npn import cli, errors, estimators
 from npn.cli import load_csv, main, save_csv
-from npn.errors import EmptyFile, NonFiniteValue, NpnError, ParseError, SingularScatter
+from npn.errors import (
+    DataError,
+    EmptyFile,
+    NonFiniteValue,
+    NpnError,
+    NumericError,
+    ParseError,
+    SingularScatter,
+)
 from npn.simulation import sample_gaussian
 
 MI_AT_06 = 0.22314355131420976
@@ -635,6 +643,18 @@ class TestEstimateCommand:
         assert doc["errors"][0]["error"] == "SingularScatter"
         assert [e["estimator"] for e in doc["estimates"]] == ["rho"]
 
+    def test_one_row_is_a_sample_shortfall(self, tmp_path, capsys):
+        # a usage error (exit 1) would blame the command line for the data
+        path = tmp_path / "one-row.csv"
+        path.write_text("1.0,2.0,3.0\n")
+        names = [kind.value for kind in estimators.EstimatorKind]
+        code, doc = run_json(capsys, ["estimate", "--input", str(path), "--estimators", ",".join(names)])
+        assert code == 3
+        assert doc["estimates"] == []
+        assert [(e["estimator"], e["error"]) for e in doc["errors"]] == [
+            (name, "InsufficientSamples") for name in names
+        ]
+
     def test_output_is_reproducible(self, corr_csv, capsys):
         argv = ["estimate", "--input", str(corr_csv), "--estimators", "rho,tau"]
         main(argv)
@@ -1059,6 +1079,49 @@ class TestMainErrors:
             monkeypatch.setattr(cli, "run_experiment", fail)
         assert main(argv) == code
         assert capsys.readouterr().err.startswith(prefix)
+
+
+class _LateDataError(DataError):
+    pass
+
+
+class _LateNumericError(NumericError):
+    pass
+
+
+# Every library error, and a new subclass of each group's base, with its exit
+# code and stderr prefix.
+_EXIT_GROUPS = {
+    "ParseError": (2, "data error"),
+    "NonFiniteValue": (2, "data error"),
+    "EmptyFile": (2, "data error"),
+    "DataError": (2, "data error"),
+    "NotPositiveDefinite": (3, "numeric error"),
+    "NoConvergence": (3, "numeric error"),
+    "DegenerateColumn": (3, "numeric error"),
+    "SingularScatter": (3, "numeric error"),
+    "InsufficientSamples": (3, "numeric error"),
+    "DegenerateDraw": (3, "numeric error"),
+    "NumericError": (3, "numeric error"),
+    "DomainError": (1, "error"),
+    "NpnError": (3, "error"),
+}
+
+
+_EXIT_CASES = [(getattr(errors, name), want) for name, want in _EXIT_GROUPS.items()] + [
+    (_LateDataError, (2, "data error")),
+    (_LateNumericError, (3, "numeric error")),
+    (OSError, (2, "data error")),
+]
+
+
+@pytest.mark.parametrize("error, want", _EXIT_CASES, ids=[error.__name__ for error, _ in _EXIT_CASES])
+def test_every_error_keeps_its_exit_group(error, want):
+    assert cli._classify(error("x")) == want
+
+
+def test_the_exit_table_names_every_library_error():
+    assert set(_EXIT_GROUPS) == set(errors.__all__)
 
 
 def test_run_experiments_script_writes_every_table(tmp_path, monkeypatch, capsys):

@@ -22,7 +22,7 @@ from npn import rank_stats
 from npn.errors import DegenerateColumn, DomainError
 from npn.matrix_core import as_symmetric
 from npn.rank_stats import (
-    _MERGE_BLOCK,
+    _FLIGHT_BLOCK,
     TiePolicy,
     _merge_chunks,
     _pair_sign_sums,
@@ -444,17 +444,18 @@ class TestKendall:
             np.fill_diagonal(want, 1.0)
             assert np.array_equal(kendall_matrix(x), want)
 
-    @pytest.mark.parametrize(("n", "d"), [(_MERGE_BLOCK // 8 + 1, 6), (_MERGE_BLOCK // 3, 5)])
+    @pytest.mark.parametrize(("n", "d"), [(_FLIGHT_BLOCK // 128 + 1, 17), (_FLIGHT_BLOCK // 48, 11)])
     def test_mergesort_with_a_partial_last_chunk(self, n, d):
-        pairs, rows = d * (d - 1) // 2, _MERGE_BLOCK // n
-        assert rows > 1 and pairs % rows != 0
+        pairs = d * (d - 1) // 2
+        workers, rows = _merge_chunks(pairs, n)
+        assert workers == 1 and rows > 1 and pairs % rows != 0
         x = np.round(np.random.default_rng(22).standard_normal((n, d)), 1)
         j, k = np.triu_indices(d, 1)
         assert np.array_equal(_sign_gram(x, x.shape[1])[0, j, k], _pair_sign_sums(x, j, k))
 
     @pytest.mark.parametrize(("m", "copies"), [(4096, 8), (3641, 9)])
     def test_mergesort_on_both_sides_of_the_key_width_switch(self, m, copies):
-        # n = 2^15 keeps int32 keys, n = 2^15 + 1 takes int64. Repeating every
+        # n = 2^15 keeps uint16 keys, n = 2^15 + 1 takes uint32. Repeating every
         # row c times multiplies the pair-sign sum by c^2, since copies of one
         # row tie in both columns, so the naive sum of the m distinct rows
         # gives the exact sum of all n = c m rows.
@@ -558,7 +559,7 @@ class TestThreadedMergeKernel:
         self.assert_pool_matches_serial(monkeypatch, x, 4)
 
     def test_int64_keys(self, monkeypatch):
-        # n > 2^15 takes int64 keys
+        # n > 2^15 takes uint32 keys and an int64 composite key
         x = np.round(np.random.default_rng(44).standard_normal((2**15 + 1, 3)), 2)
         self.assert_pool_matches_serial(monkeypatch, x, 2)
 
@@ -574,8 +575,14 @@ class TestThreadedMergeKernel:
 
     def test_small_inputs_stay_serial(self):
         # Monte Carlo shapes: 28 pairs x n = 1,024 at D = 8
-        assert _merge_chunks(28, 1024) == (1, _MERGE_BLOCK // 1024)
+        assert _merge_chunks(28, 1024) == (1, _FLIGHT_BLOCK // 1024)
         assert 28 * 1024 < rank_stats._THREAD_WORK
+
+    def test_one_core_takes_the_budget_of_the_chunks_in_flight(self, monkeypatch):
+        # one worker's chunks hold many pairs at n = 20,000, not one pair each
+        force_cores(monkeypatch, 1, pool=False)
+        assert _merge_chunks(300, 20_000) == (1, _FLIGHT_BLOCK // 20_000)
+        assert _FLIGHT_BLOCK // 20_000 > 1
 
     @pytest.mark.parametrize("cores", [2, 4, 8, 64])
     def test_memory_in_flight_does_not_grow_with_the_cores(self, monkeypatch, cores):
@@ -583,7 +590,7 @@ class TestThreadedMergeKernel:
         for n in (500, 20_000, 100_000):
             workers, rows = _merge_chunks(300, n)
             assert 2 <= workers <= cores
-            assert workers * rows * n <= max(rank_stats._THREAD_BLOCK, 2 * n)
+            assert workers * rows * n <= max(_FLIGHT_BLOCK, 2 * n)
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_peak_memory_holds_one_matrix_beside_the_input(self, monkeypatch, workers):
@@ -739,7 +746,7 @@ class TestColumnBlocks:
              "kendall"],
     )
     def test_peak_memory_holds_one_matrix_beside_the_input(self, fn, bound):
-        # one n x D float64 array (Kendall: int32 keys) and one block of
+        # one n x D float64 array (Kendall: uint16 keys) and one block of
         # columns at a time; the input is traced by neither side. gaussianize
         # ranks, scales and maps its result in place, so it holds one block's
         # sort beside the result, which has the input's size.
